@@ -1,38 +1,26 @@
-"""The profile-history store: minidb tables over an append-only log.
+"""The profile-history store: dict indexes over an append-only log.
 
 One profiling run is one observation of the system's cost functions;
 the observatory keeps a *history* of them so growth-rate drift across
 commits becomes visible (see :mod:`repro.observatory.drift`).  Storage
-is split along the classic WAL/engine line:
+is split along the classic WAL/index line:
 
 * ``history.jsonl`` — the durable medium: one self-describing JSON
   record per ingested run, append-only and crash-tolerant exactly like
-  ``telemetry.jsonl`` (a truncated trailing line is ignored).  Strings
-  live only here.
-* the :mod:`repro.minidb` engine — the live relational view, rebuilt
-  from the log at open.  The same mini database the paper profiles as
-  its MySQL case study here serves as real infrastructure: runs,
-  fitted curves and raw plot points are rows in heap tables, queried
-  through its SQL layer with a hash index per hot lookup column.
+  ``telemetry.jsonl`` (a truncated trailing line is ignored).
+* in-memory indexes — the live view, rebuilt from the log at open:
+  ``run_id → seq``, ``seq → RunInfo``, ``seq → [CurveRow]`` and
+  ``routine → [CurveRow]``.  Raw plot points and metrics are read
+  straight from the replayed :class:`RunRecord` of a run, so every
+  value reads back exactly as it was ingested.
 
-minidb cells hold integers, so strings are interned per store instance
-(ids are assigned during replay and never persisted) and fractional
-values are stored in fixed-point micro-units (``×1e6``).
-
-Schema (one row per line of ``CREATE TABLE``)::
-
-    runs    (seq, run_id, git_sha, ts, scale_u, source, routines, events)
-    curves  (run, routine, model, a_u, b_u, r2_u, npoints, max_size, exp_u)
-    points  (run, routine, size, cost)
-    metrics (run, name, value_u)
-
-``runs.seq`` is the ingest ordinal; run ordering everywhere else is by
-``(timestamp, seq)``.  ``curves`` carries one fitted-curve row per
-fittable routine per run — the model name plus its ``a``/``b``
-coefficients (``cost ≈ a·g(n) + b``), so predicted costs at any size
-can be recomputed without refitting — and the free power-law exponent
-for the dashboard sparklines.  ``points`` keeps the raw worst-case
-cost plot of the top-K routines by total cost.
+``seq`` is the ingest ordinal; run ordering everywhere else is by
+``(timestamp, seq)``.  A run carries one fitted curve per fittable
+routine — the model name plus its ``a``/``b`` coefficients
+(``cost ≈ a·g(n) + b``), so predicted costs at any size can be
+recomputed without refitting — and the free power-law exponent for the
+dashboard sparklines.  Its raw points are the worst-case cost plot of
+the top-K routines by total cost.
 """
 
 from __future__ import annotations
@@ -49,8 +37,6 @@ except ImportError:                     # pragma: no cover - non-POSIX
     fcntl = None  # type: ignore[assignment]
 
 from ..curvefit.models import model_by_name
-from ..minidb import Database
-from ..pytrace.api import TraceSession
 
 __all__ = [
     "STORE_SCHEMA",
@@ -68,20 +54,6 @@ HISTORY_FILENAME = "history.jsonl"
 #: advisory lock serialising appends against gc compaction (see
 #: :meth:`ObservatoryStore._locked`)
 LOCK_FILENAME = "history.lock"
-
-#: fixed-point scale for fractional columns (micro-units)
-_FP = 1_000_000
-#: ``exp_u`` sentinel for "no power-law exponent available"
-_NO_EXP = -(10 ** 12)
-
-
-def _fp(value: float) -> int:
-    return int(round(float(value) * _FP))
-
-
-def _unfp(value: int) -> float:
-    return value / _FP
-
 
 def _parse_ts(timestamp: Optional[str]) -> int:
     """ISO-8601 → unix seconds (0 when absent or unparseable)."""
@@ -125,7 +97,7 @@ class RunRecord(NamedTuple):
 
 
 class RunInfo(NamedTuple):
-    """One run as read back from the ``runs`` table."""
+    """One run as read back from the store."""
 
     seq: int
     run_id: str
@@ -138,7 +110,7 @@ class RunInfo(NamedTuple):
 
 
 class CurveRow(NamedTuple):
-    """One fitted-curve row as read back from the ``curves`` table."""
+    """One fitted curve of one run as read back from the store."""
 
     run_seq: int
     routine: str
@@ -161,7 +133,7 @@ class CurveRow(NamedTuple):
 
 
 class ObservatoryStore:
-    """Persistent run history over a minidb engine (see module docstring).
+    """Persistent run history over dict indexes (see module docstring).
 
     Usage::
 
@@ -174,58 +146,12 @@ class ObservatoryStore:
         self.root = root
         os.makedirs(root, exist_ok=True)
         self.path = os.path.join(root, HISTORY_FILENAME)
-        self._names: List[str] = []
-        self._ids: Dict[str, int] = {}
         self._run_seq: Dict[str, int] = {}     # run_id -> seq ordinal
         self._records: List[RunRecord] = []    # replayed log, in seq order
-        self._engine = self._new_engine()
-        self._replay()
-
-    # -- engine ------------------------------------------------------------
-
-    def _new_engine(self) -> Database:
-        # An untraced session: the observatory *uses* minidb, it does not
-        # profile it.  Page/frame sizing trades tracked-cell granularity
-        # for capacity: 9 columns max -> 8 curve rows per 81-word page,
-        # 4096 pages per table extent.
-        engine = Database(
-            TraceSession(tools=None),
-            page_size=81,
-            pool_frames=128,
-            ring_slots=64,
-            record_width=10,
-        )
-        engine.execute(
-            "CREATE TABLE runs (seq, run_id, git_sha, ts, scale_u, source, "
-            "routines, events)")
-        engine.execute(
-            "CREATE TABLE curves (run, routine, model, a_u, b_u, r2_u, "
-            "npoints, max_size, exp_u)")
-        engine.execute("CREATE TABLE points (run, routine, size, cost)")
-        engine.execute("CREATE TABLE metrics (run, name, value_u)")
-        engine.execute("CREATE INDEX ON runs (run_id)")
-        engine.execute("CREATE INDEX ON curves (routine)")
-        engine.execute("CREATE INDEX ON points (run)")
-        engine.execute("CREATE INDEX ON metrics (run)")
-        return engine
-
-    def _intern(self, name: str) -> int:
-        interned = self._ids.get(name)
-        if interned is None:
-            interned = len(self._names)
-            self._names.append(name)
-            self._ids[name] = interned
-        return interned
-
-    def _name(self, interned: int) -> str:
-        return self._names[interned]
-
-    def _insert(self, table: str, values: List[int]) -> None:
-        rendered = ", ".join(str(int(value)) for value in values)
-        self._engine.execute(f"INSERT INTO {table} VALUES ({rendered})")
-        # No background flusher: drain the change-buffer ring eagerly so
-        # bulk ingestion never blocks on a full ring.
-        self._engine.flush_now()
+        self._infos: List[RunInfo] = []        # seq -> RunInfo
+        self._curves: List[List[CurveRow]] = []            # seq -> curves
+        self._by_routine: Dict[str, List[CurveRow]] = {}   # routine -> curves
+        self._rebuild(self._replay())
 
     # -- log ---------------------------------------------------------------
 
@@ -236,7 +162,7 @@ class ObservatoryStore:
         ``gc`` swaps ``history.jsonl`` out from under concurrent
         writers (atomic-replace compaction); an append racing the swap
         would land on the *old* inode and be lost, and a reader could
-        observe a half-rebuilt engine.  Every append and the whole gc
+        observe half-rebuilt indexes.  Every append and the whole gc
         critical section therefore take an exclusive ``flock`` on a
         sidecar lock file — advisory (cooperating processes only), so
         plain reads of the JSONL stay lock-free.  On platforms without
@@ -252,12 +178,13 @@ class ObservatoryStore:
             finally:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
-    def _replay(self) -> None:
+    def _replay(self) -> List[RunRecord]:
+        """The log's runs in seq order, each at its newest version."""
         if not os.path.exists(self.path):
             with open(self.path, "w", encoding="utf-8") as stream:
                 stream.write(json.dumps({"type": "meta", "schema": STORE_SCHEMA}) + "\n")
-            return
-        # Resolve supersessions before touching the engine: a streaming
+            return []
+        # Resolve supersessions before building the indexes: a streaming
         # run appends one log record per checkpoint, all sharing one
         # run_id, and only the newest version may be materialised (at
         # its original position — a stream keeps its place in history).
@@ -283,8 +210,7 @@ class ObservatoryStore:
                     resolved[seq] = run
                 # duplicate non-superseding append: first write wins,
                 # matching add_run's idempotency
-        for run in resolved:
-            self._apply(run)
+        return resolved
 
     def _append(self, record: RunRecord, supersede: bool = False) -> None:
         payload = _record_to_json(record)
@@ -331,12 +257,10 @@ class ObservatoryStore:
         return True
 
     def _rebuild(self, records: List[RunRecord]) -> None:
-        """Re-materialise the engine from an explicit record list."""
-        self._names = []
-        self._ids = {}
-        self._run_seq = {}
-        self._records = []
-        self._engine = self._new_engine()
+        """Re-build the indexes from an explicit record list."""
+        for index in (self._run_seq, self._records, self._infos,
+                      self._curves, self._by_routine):
+            index.clear()
         for record in records:
             self._apply(record)
 
@@ -344,35 +268,33 @@ class ObservatoryStore:
         seq = len(self._records)
         self._records.append(record)
         self._run_seq[record.run_id] = seq
-        self._insert("runs", [
-            seq,
-            self._intern(record.run_id),
-            self._intern(record.git_sha or ""),
-            _parse_ts(record.timestamp),
-            _fp(record.scale or 0.0),
-            self._intern(record.source or ""),
-            len({curve.routine for curve in record.curves} | set(record.points)),
-            int(record.events or 0),
-        ])
-        for curve in record.curves:
-            exponent = _NO_EXP if curve.exponent is None else _fp(curve.exponent)
-            self._insert("curves", [
-                seq,
-                self._intern(curve.routine),
-                self._intern(curve.model),
-                _fp(curve.a),
-                _fp(curve.b),
-                _fp(curve.r2),
-                int(curve.points),
-                int(curve.max_size),
-                exponent,
-            ])
-        for routine, plot in record.points.items():
-            routine_id = self._intern(routine)
-            for size, cost in plot:
-                self._insert("points", [seq, routine_id, int(size), int(cost)])
-        for name, value in record.metrics.items():
-            self._insert("metrics", [seq, self._intern(name), _fp(value)])
+        self._infos.append(RunInfo(
+            seq=seq,
+            run_id=record.run_id,
+            git_sha=record.git_sha or "",
+            timestamp=_parse_ts(record.timestamp),
+            scale=float(record.scale or 0.0),
+            source=record.source or "",
+            routines=len({curve.routine for curve in record.curves} | set(record.points)),
+            events=int(record.events or 0),
+        ))
+        curves = [
+            CurveRow(
+                run_seq=seq,
+                routine=curve.routine,
+                model=curve.model,
+                a=float(curve.a),
+                b=float(curve.b),
+                r2=float(curve.r2),
+                points=int(curve.points),
+                max_size=int(curve.max_size),
+                exponent=None if curve.exponent is None else float(curve.exponent),
+            )
+            for curve in record.curves
+        ]
+        self._curves.append(curves)
+        for curve in curves:
+            self._by_routine.setdefault(curve.routine, []).append(curve)
 
     # -- reads -------------------------------------------------------------
 
@@ -381,22 +303,7 @@ class ObservatoryStore:
 
     def runs(self) -> List[RunInfo]:
         """Every run, ordered by (timestamp, ingest ordinal)."""
-        rows = self._engine.execute("SELECT * FROM runs")
-        infos = [
-            RunInfo(
-                seq=row[0],
-                run_id=self._name(row[1]),
-                git_sha=self._name(row[2]),
-                timestamp=row[3],
-                scale=_unfp(row[4]),
-                source=self._name(row[5]),
-                routines=row[6],
-                events=row[7],
-            )
-            for row in rows
-        ]
-        infos.sort(key=lambda info: (info.timestamp, info.seq))
-        return infos
+        return sorted(self._infos, key=lambda info: (info.timestamp, info.seq))
 
     def run_order(self) -> Dict[int, int]:
         """Map run seq -> position in the (timestamp, seq) ordering."""
@@ -404,50 +311,29 @@ class ObservatoryStore:
 
     def routines(self) -> List[str]:
         """Sorted names of every routine with at least one curve row."""
-        rows = self._engine.execute("SELECT * FROM curves")
-        return sorted({self._name(row[1]) for row in rows})
-
-    def _curve_row(self, row: List[int]) -> CurveRow:
-        exponent = None if row[8] == _NO_EXP else _unfp(row[8])
-        return CurveRow(
-            run_seq=row[0],
-            routine=self._name(row[1]),
-            model=self._name(row[2]),
-            a=_unfp(row[3]),
-            b=_unfp(row[4]),
-            r2=_unfp(row[5]),
-            points=row[6],
-            max_size=row[7],
-            exponent=exponent,
-        )
+        return sorted(self._by_routine)
 
     def curve_trajectory(self, routine: str) -> List[CurveRow]:
         """The routine's fitted curves across runs, in run order."""
-        routine_id = self._ids.get(routine)
-        if routine_id is None:
-            return []
-        rows = self._engine.execute(
-            f"SELECT * FROM curves WHERE routine = {routine_id}")
         order = self.run_order()
-        curves = [self._curve_row(row) for row in rows]
-        curves.sort(key=lambda curve: order.get(curve.run_seq, -1))
-        return curves
+        return sorted(self._by_routine.get(routine, ()),
+                      key=lambda curve: order[curve.run_seq])
 
     def curves_for_run(self, seq: int) -> List[CurveRow]:
-        rows = self._engine.execute(f"SELECT * FROM curves WHERE run = {seq}")
-        return [self._curve_row(row) for row in rows]
+        return list(self._curves[seq]) if 0 <= seq < len(self) else []
 
     def points_for(self, seq: int, routine: str) -> List[Tuple[int, int]]:
         """Raw worst-case plot of one routine in one run (top-K only)."""
-        routine_id = self._ids.get(routine)
-        if routine_id is None:
+        if not 0 <= seq < len(self):
             return []
-        rows = self._engine.execute(f"SELECT * FROM points WHERE run = {seq}")
-        return sorted((row[2], row[3]) for row in rows if row[1] == routine_id)
+        plot = self._records[seq].points.get(routine, ())
+        return sorted((int(size), int(cost)) for size, cost in plot)
 
     def metrics_for(self, seq: int) -> Dict[str, float]:
-        rows = self._engine.execute(f"SELECT * FROM metrics WHERE run = {seq}")
-        return {self._name(row[1]): _unfp(row[2]) for row in rows}
+        if not 0 <= seq < len(self):
+            return {}
+        return {name: float(value)
+                for name, value in self._records[seq].metrics.items()}
 
     # -- maintenance -------------------------------------------------------
 
@@ -455,11 +341,11 @@ class ObservatoryStore:
         """Keep only the newest ``keep`` runs; returns how many were dropped.
 
         Compacts ``history.jsonl`` (atomic replace) and rebuilds the
-        engine from the survivors.  The whole critical section holds
+        indexes from the survivors.  The whole critical section holds
         the store's advisory lock, so a concurrent ingest (another
         cooperating process, or the profiling service's workers) can
-        never append to the about-to-be-replaced log or observe the
-        half-rebuilt engine.
+        never append to the about-to-be-replaced log or observe
+        half-rebuilt indexes.
         """
         if keep < 0:
             raise ValueError("keep must be >= 0")
@@ -483,8 +369,7 @@ class ObservatoryStore:
         return len(victims)
 
     def close(self) -> None:
-        """Release the engine (the log is already durable)."""
-        self._engine = None  # type: ignore[assignment]
+        """Nothing to release: the log is already durable."""
 
     def __enter__(self) -> "ObservatoryStore":
         return self

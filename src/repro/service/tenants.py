@@ -2,8 +2,8 @@
 
 One server hosts many projects; each tenant owns an isolated
 :class:`~repro.observatory.store.ObservatoryStore` rooted at
-``<root>/<tenant>/`` — separate ``history.jsonl``, separate minidb
-engine, separate gc.  Nothing is shared across tenants except the
+``<root>/<tenant>/`` — separate ``history.jsonl``, separate indexes,
+separate gc.  Nothing is shared across tenants except the
 process, so a tenant's compaction, drift detection or run history can
 never observe another's.
 

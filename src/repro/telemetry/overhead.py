@@ -57,8 +57,11 @@ def measure_overhead(
     bench.run(tools=None, threads=threads, scale=scale)  # warm-up
     with tele.span("overhead.bench", benchmark=bench_name,
                    threads=threads, scale=scale, repeats=repeats):
-        for config in (NATIVE, *tools):
-            for repeat in range(max(1, repeats)):
+        # Interleave: each repeat runs native and every tool once, in
+        # turn, so a slow stretch of the host (or a warming cache) lands
+        # on every configuration alike instead of on whichever ran first.
+        for repeat in range(max(1, repeats)):
+            for config in (NATIVE, *tools):
                 tool = None if config == NATIVE else make_tool(config)
                 with tele.span("overhead.run", tool=config, repeat=repeat):
                     started = time.perf_counter()

@@ -1,7 +1,10 @@
-"""Store tests: minidb round-trips, idempotency, gc, crash tolerance."""
+"""Store tests: exact round-trips, idempotency, gc, crash tolerance."""
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -13,6 +16,8 @@ from repro.observatory import (
 )
 
 from .util import db_from, drifting_history, seeded_store
+
+REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
 def empty_run(run_id, timestamp="2026-07-01T00:00:00+00:00", **overrides):
@@ -64,18 +69,27 @@ def test_add_run_is_idempotent_by_run_id(tmp_path):
     assert len(lines) == 2
 
 
-def test_metrics_and_scale_round_trip_fixed_point(tmp_path):
+def test_metrics_scale_and_curves_round_trip_exactly(tmp_path):
+    # values with more than six fractional digits read back unchanged,
+    # both from the live store and after a replay of the log
+    curve = CurveRecord(
+        routine="f", model="O(n)", a=3.14159265358979, b=-0.000000271828,
+        r2=0.99999987654321, points=8, max_size=512,
+        exponent=1.00000123456789,
+    )
+    metrics = {"farm.events_per_s": 12345.6789012345, "counter.drops": 3.0,
+               "ratio": 1e-9}
     store = ObservatoryStore(str(tmp_path / "obs"))
-    store.add_run(empty_run(
-        "r1", scale=0.25,
-        metrics={"farm.events_per_s": 12345.678901, "counter.drops": 3.0},
-    ))
-    (info,) = store.runs()
-    assert info.scale == pytest.approx(0.25)
-    metrics = store.metrics_for(info.seq)
-    assert metrics["counter.drops"] == pytest.approx(3.0)
-    # micro-unit fixed point keeps six fractional digits
-    assert metrics["farm.events_per_s"] == pytest.approx(12345.678901, abs=1e-6)
+    store.add_run(empty_run("r1", scale=0.1234567891, metrics=metrics,
+                            curves=[curve]))
+    for opened in (store, ObservatoryStore(str(tmp_path / "obs"))):
+        (info,) = opened.runs()
+        assert info.scale == 0.1234567891
+        assert opened.metrics_for(info.seq) == metrics
+        (row,) = opened.curve_trajectory("f")
+        assert (row.a, row.b, row.r2, row.exponent) == (
+            curve.a, curve.b, curve.r2, curve.exponent)
+        assert opened.curves_for_run(info.seq) == [row]
 
 
 def test_curve_row_predict_matches_fit(tmp_path):
@@ -145,3 +159,27 @@ def test_store_creates_directory(tmp_path):
     assert os.path.exists(store.path)
     assert len(store) == 0
     assert store.runs() == []
+
+
+def test_store_does_not_load_the_profiled_workloads(tmp_path):
+    # minidb is a workload the paper profiles, not the store's engine:
+    # opening a store and ingesting a dump must not import it (nor the
+    # pytrace tracer it runs under)
+    dump = tmp_path / "run.profile"
+    dump.write_text("\n".join(
+        ["repro-profile 1", "F lower_bound=0", "G 0 0", "P f\t0\t0\t0"]
+        + [f"S {n} 1 {10 * n} {10 * n} {10 * n} {100 * n * n}"
+           for n in (4, 8, 16, 32)]) + "\n")
+    script = textwrap.dedent(f"""
+        import sys
+        from repro.observatory import ObservatoryStore, ingest_path
+        store = ObservatoryStore({str(tmp_path / "obs")!r})
+        assert ingest_path(store, {str(dump)!r}).ingested
+        assert store.curve_trajectory("f")
+        print(sorted(name for name in sys.modules
+                     if name.startswith(("repro.minidb", "repro.pytrace"))))
+    """)
+    env = dict(os.environ, PYTHONPATH=REPO_SRC)
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.telemetry import Telemetry, TelemetryRun
 from repro.telemetry.overhead import (
     DEFAULT_TOOLS,
     measure_overhead,
@@ -49,3 +50,18 @@ def test_render_report_from_snapshot_alone(metrics):
 
 def test_render_report_without_measurements():
     assert "no overhead measurements" in render_overhead_report([])
+
+
+def test_runs_interleave_configurations(tmp_path):
+    # every repeat runs native and each tool once, in turn, so a slow
+    # stretch of the host cannot land on one configuration only
+    tele = Telemetry(str(tmp_path))
+    measure_overhead("352.nab", threads=1, scale=0.2,
+                     tools=("nulgrind", "aprof-rms"), repeats=3,
+                     telemetry=tele)
+    tele.close()
+    runs = TelemetryRun.load(str(tmp_path)).spans_named("overhead.run")
+    order = [(span["attrs"]["repeat"], span["attrs"]["tool"])
+             for span in sorted(runs, key=lambda span: span["id"])]
+    assert order == [(repeat, tool) for repeat in range(3)
+                     for tool in ("native", "nulgrind", "aprof-rms")]
