@@ -1,9 +1,10 @@
 """Farm extension: the multiprocess speedup the GIL withheld, measured.
 
-`bench_ext_parallel_analysis.py` demonstrates the offline analysis is
-*structurally* parallel but concedes the thread-pooled variant "stays
-within noise of sequential under the GIL … speedup requires processes".
-This bench makes that measurement with the farm's process workers on a
+Replayed offline in global trace order, a thread's profile depends
+only on its own events and the latest writes before its reads, so the
+analysis is *structurally* parallel — but Python threads stay within
+noise of sequential under the GIL; speedup requires processes.  This
+bench makes that measurement with the farm's process workers on a
 recorded 16-thread workload mix:
 
 * exactness first: farm output (any jobs count) is bit-identical to

@@ -1,20 +1,23 @@
-"""Flat-array kernel throughput: the columnar hot loop, measured.
+"""Flat-array kernel throughput: the columnar hot loop vs online replay.
 
-The farm made the offline TRMS analysis parallel; the flat kernel makes
-each worker *fast*.  This bench measures exactly the quantity the kernel
-was built for — single-shard analysis throughput (events/s) of
-``run_shard`` — for the classic two-pass machinery vs the flat columnar
-single pass, on the same recorded v2 traces:
+The flat kernel is the one offline analysis: every ``repro analyze``
+runs it, for RMS and for TRMS.  This bench measures the quantity the
+kernel was built for — single-shard analysis throughput (events/s) of
+``run_shard`` — against decoding the same recorded v2 trace into
+``Event`` objects and replaying it through the online
+:class:`~repro.core.rms.RmsProfiler` / :class:`~repro.core.trms.TrmsProfiler`,
+the object-per-event path the kernel replaces:
 
-* exactness first: for every workload the two kernels' profile dumps
-  must be byte-identical (their SHA-256 digests are recorded in the
-  result envelope and re-checked by the CI benchmark gate);
-* throughput and speedup per workload, best-of-N to shed scheduler
-  noise;
-* the speedup assertion (flat > 2x classic) is deliberately below the
-  ~6-8x this machine measures so CI jitter cannot flake it; the
-  *recorded* speedup rides in the envelope's ``gate.ratios`` and is
-  what :mod:`tools.bench_gate` holds future commits to (>25% regression
+* exactness first: for every workload and metric the two paths'
+  profile dumps must be byte-identical (the SHA-256 digests are
+  recorded in the result envelope and re-checked by the CI benchmark
+  gate);
+* throughput and speedup per workload and metric, best-of-N to shed
+  scheduler noise;
+* the speedup assertion (flat > 2x online) is deliberately below what
+  a quiet machine measures so CI jitter cannot flake it; the *recorded*
+  speedups ride in the envelope's ``gate.ratios`` and are what
+  :mod:`tools.bench_gate` holds future commits to (>25% regression
   fails the gate).
 """
 
@@ -26,7 +29,9 @@ import os
 import tempfile
 import time
 
-from repro.farm import BinaryTraceWriter, save_profile
+from repro.core import RmsProfiler, TrmsProfiler, replay
+from repro.core.flatkernel import METRICS
+from repro.farm import BinaryTraceWriter, iter_binary_trace, save_profile
 from repro.farm.binfmt import read_trace_meta
 from repro.farm.shards import plan_shards
 from repro.farm.worker import ShardTask, run_shard
@@ -37,7 +42,8 @@ from conftest import bench_scale, run_once, save_result
 
 WORKLOADS = ("376.kdtree", "350.md")
 THREADS = 4
-KERNELS = ("classic", "flat")
+PATHS = ("online", "flat")
+ONLINE = {"rms": RmsProfiler, "trms": TrmsProfiler}
 ROUNDS = 9
 
 
@@ -55,32 +61,38 @@ def profile_digest(db) -> str:
     return hashlib.sha256(stream.getvalue().encode("utf-8")).hexdigest()
 
 
-def measure_kernels(path: str):
-    """Best-of-N single-shard wall time and profile digest per kernel.
+def online_replay(path: str, metric: str):
+    """What the kernel replaces: decode to Events, replay online."""
+    profiler = ONLINE[metric]()
+    with open(path, "rb") as stream:
+        replay(iter_binary_trace(stream), profiler)
+    return profiler.db
 
-    The kernels' rounds are *interleaved* (classic, flat, classic, …)
-    so a frequency step or a noisy neighbour hits both alike — the gate
+
+def measure_paths(path: str, metric: str):
+    """Best-of-N wall time and profile digest per path, for one metric.
+
+    The paths' rounds are *interleaved* (online, flat, online, …) so a
+    frequency step or a noisy neighbour hits both alike — the gate
     compares the speedup ratio, which interleaving keeps stable where
     back-to-back blocks would skew it.
     """
     with open(path, "rb") as stream:
         meta = read_trace_meta(stream)
     shard = plan_shards(meta, 1).shards[0]
-    tasks = {
-        kernel: ShardTask(path, shard.shard_id, shard.threads,
-                          shard.chunk_indices, kernel=kernel)
-        for kernel in KERNELS
+    task = ShardTask(path, shard.shard_id, shard.threads,
+                     shard.chunk_indices, metric=metric)
+    runs = {
+        "online": lambda: online_replay(path, metric),
+        "flat": lambda: run_shard(task).db,
     }
-    seconds = {kernel: float("inf") for kernel in KERNELS}
-    digests = {}
-    for kernel, task in tasks.items():  # warm page cache and allocator
-        digests[kernel] = profile_digest(run_shard(task).db)
+    seconds = {kind: float("inf") for kind in PATHS}
+    digests = {kind: profile_digest(run()) for kind, run in runs.items()}
     for _ in range(ROUNDS):
-        for kernel, task in tasks.items():
+        for kind, run in runs.items():
             start = time.perf_counter()
-            run_shard(task)
-            seconds[kernel] = min(seconds[kernel],
-                                  time.perf_counter() - start)
+            run()
+            seconds[kind] = min(seconds[kind], time.perf_counter() - start)
     return meta.event_count, seconds, digests
 
 
@@ -91,10 +103,12 @@ def run_study(scale: float):
         os.close(handle)
         try:
             record_workload(name, path, scale)
-            events, seconds, digests = measure_kernels(path)
+            for metric in METRICS:
+                events, seconds, digests = measure_paths(path, metric)
+                study[f"{metric}:{name}"] = {
+                    "events": events, "seconds": seconds, "digests": digests}
         finally:
             os.unlink(path)
-        study[name] = {"events": events, "seconds": seconds, "digests": digests}
     return study
 
 
@@ -105,38 +119,38 @@ def test_kernel_throughput(benchmark, scale):
     throughput = {}
     ratios = {}
     hashes = {}
-    for name, data in study.items():
-        classic = data["seconds"]["classic"]
-        flat = data["seconds"]["flat"]
-        speedup = classic / flat if flat else float("inf")
-        for kernel in KERNELS:
-            events_per_s = data["events"] / data["seconds"][kernel]
-            throughput[f"{kernel}_events_per_s:{name}"] = round(events_per_s)
+    for key, data in study.items():
+        online = data["seconds"]["online"]
+        for kind in PATHS:
+            events_per_s = data["events"] / data["seconds"][kind]
+            throughput[f"{kind}_events_per_s:{key}"] = round(events_per_s)
             rows.append([
-                name, kernel, data["events"],
-                f"{data['seconds'][kernel] * 1000:.1f}ms",
+                key, kind, data["events"],
+                f"{data['seconds'][kind] * 1000:.1f}ms",
                 f"{events_per_s:,.0f}",
-                f"{classic / data['seconds'][kernel]:.2f}x",
+                f"{online / data['seconds'][kind]:.2f}x",
             ])
-        ratios[f"speedup:{name}"] = round(speedup, 2)
-        hashes[name] = data["digests"]["flat"]
+        flat = data["seconds"]["flat"]
+        ratios[f"speedup:{key}"] = round(online / flat if flat else float("inf"), 2)
+        hashes[key] = data["digests"]["flat"]
     print()
     print(table(
-        ["workload", "kernel", "events", "time", "events/s", "speedup"],
+        ["metric:workload", "path", "events", "time", "events/s", "speedup"],
         rows,
-        title=f"Analysis-kernel throughput — single shard, best of {ROUNDS}",
+        title=f"Analysis throughput, flat kernel vs online replay — "
+              f"single shard, best of {ROUNDS}",
     ))
 
-    # exactness is unconditional: the kernels must be byte-identical
-    for name, data in study.items():
-        assert data["digests"]["flat"] == data["digests"]["classic"], \
-            f"{name}: flat and classic kernels produced different profiles"
+    # exactness is unconditional: flat must be byte-identical to online
+    for key, data in study.items():
+        assert data["digests"]["flat"] == data["digests"]["online"], \
+            f"{key}: the flat kernel and online replay produced different profiles"
 
     # the paper-shape assertion: columnar flat beats object-per-event
-    # classic with margin (this machine: ~6-8x; threshold sheds CI noise)
-    for name, data in study.items():
-        assert data["seconds"]["flat"] < data["seconds"]["classic"] / 2, \
-            f"{name}: flat kernel not >2x classic: {data['seconds']}"
+    # online replay with margin (threshold sheds CI noise)
+    for key, data in study.items():
+        assert data["seconds"]["flat"] < data["seconds"]["online"] / 2, \
+            f"{key}: flat kernel not >2x online replay: {data['seconds']}"
 
     save_result("kernel_throughput", {
         "workloads": study,

@@ -1,9 +1,8 @@
-"""The flat-array latest-access kernel for offline TRMS analysis.
+"""The flat-array latest-access kernel: offline RMS and TRMS analysis.
 
-:mod:`repro.core.offline` restructured the paper's algorithm into an
-index pass plus per-thread replay; this module restructures the *hot
-loop*.  Three observations make the offline analysis dramatically
-cheaper than an object-per-event replay:
+This is the one offline copy of the paper's algorithm.  Three
+observations make it dramatically cheaper than an object-per-event
+replay through the online profilers:
 
 1. **Events decode as columns, not objects.**  A v2 chunk becomes three
    parallel arrays (kind byte, thread id, argument) in a handful of
@@ -12,11 +11,11 @@ cheaper than an object-per-event replay:
    string-table lookups.  ``CALL`` arguments stay interned routine ids;
    names are materialised only when an activation is emitted.
 
-2. **Global order makes the write index redundant.**  Replaying events
-   in increasing global position means every write at a position below
-   the current read has already been seen, so the per-read binary
-   search of :meth:`~repro.core.offline.WriteIndex.latest_before`
-   collapses to one probe of a running
+2. **Global order turns the induced-access test into one probe.**
+   Replaying events in increasing global position means every write at
+   a position below the current read has already been seen, so "was the
+   cell written by someone else since this thread last touched it?" is
+   one lookup in a running
    :class:`~repro.core.shadow.PackedLatestWrite` dict.
 
 3. **Shadow stacks flatten to parallel columns.**  A pending activation
@@ -26,10 +25,14 @@ cheaper than an object-per-event replay:
 
 The kernel analyses all of a shard's threads in a *single interleaved
 pass*, keeping per-thread stacks and latest-access tables exactly like
-the online profiler keeps per-thread states.  Its output is
-**bit-identical** to the classic two-pass machinery (and hence to the
-online :class:`~repro.core.trms.TrmsProfiler`) — enforced by the farm
-differential tests and the property-based kernel differentials.
+the online profiler keeps per-thread states.  ``metric`` picks the
+input-size metric: ``"trms"`` stamps and probes the global latest-write
+table (the multithreaded extension), ``"rms"`` never touches it — kernel
+writes and other threads' events are then invisible, as they are to
+aprof-rms.  Either way the output is **bit-identical** to the online
+:class:`~repro.core.rms.RmsProfiler` / :class:`~repro.core.trms.TrmsProfiler`
+— enforced by the farm differential tests and the property-based kernel
+differentials.
 """
 
 from __future__ import annotations
@@ -43,7 +46,10 @@ from .profile_data import ProfileDatabase
 from .shadow import PackedLatestWrite
 from .stack import FlatStack
 
-__all__ = ["FlatAnalyzer", "analyze_columns_flat", "analyze_events_flat"]
+__all__ = ["METRICS", "FlatAnalyzer", "analyze_columns_flat", "analyze_events_flat"]
+
+#: the input-size metrics the kernel computes
+METRICS = ("rms", "trms")
 
 #: Analyzer-allocated name ids (per-thread roots, composed contexts)
 #: live in a namespace far above any real trace string table, so the
@@ -61,7 +67,7 @@ _KERNEL_WRITE = int(EventKind.KERNEL_WRITE)
 _THREAD_SWITCH = int(EventKind.THREAD_SWITCH)
 _COST = int(EventKind.COST)
 
-#: per-thread root activations, mirroring ``offline.analyze_thread``
+#: per-thread root activations, named like the online profilers' roots
 _ROOT_NAME = "<root:{thread}>"
 
 
@@ -79,18 +85,18 @@ class _FlatThreadState:
 
 
 class FlatAnalyzer:
-    """Single-pass flat-array TRMS analysis over event columns.
+    """Single-pass flat-array RMS or TRMS analysis over event columns.
 
     Args:
         threads: the threads to analyse (a shard's assignment).  Events
-            of other threads contribute only their writes.  ``None``
-            analyses every thread that appears — the whole-trace mode
-            of :func:`~repro.core.offline.analyze_trace`.
+            of other threads contribute only their writes (TRMS) or
+            nothing (RMS).  ``None`` analyses every thread that appears.
         names: the trace string table ``CALL`` arguments index into.
         db: the database activations are emitted into.
         context_sensitive: key profiles by calling context; contexts
             are composed once per distinct (parent, routine) pair and
             interned, so the hot path stays integer-only.
+        metric: ``"trms"`` (default) or ``"rms"``.
 
     Feed columns in increasing global-position order (chunks in trace
     order), then call :meth:`finish` exactly once.
@@ -102,7 +108,11 @@ class FlatAnalyzer:
         names: Sequence[str],
         db: ProfileDatabase,
         context_sensitive: bool = False,
+        metric: str = "trms",
     ):
+        if metric not in METRICS:
+            raise ValueError(f"unknown metric {metric!r}")
+        self.metric = metric
         self.db = db
         self.context_sensitive = context_sensitive
         #: routine id -> name: the trace string table, held by
@@ -153,6 +163,7 @@ class FlatAnalyzer:
         context_sensitive = self.context_sensitive
         states = self.states
         lazy = self._assigned is None
+        trms = self.metric == "trms"
         wts = self.wts
         wts_get = wts.get
         add_activation = db.add_activation
@@ -181,16 +192,17 @@ class FlatAnalyzer:
                     s_ind_thread = stack.induced_thread
                     s_ind_external = stack.induced_external
             if state is None:
-                # Foreign thread: only its writes are visible to us.
-                if kind == _WRITE:
-                    wts[arg] = position << 1
-                elif kind == _KERNEL_WRITE:
-                    wts[arg] = (position << 1) | 1
+                # Foreign thread: only its writes are visible, to TRMS.
+                if trms:
+                    if kind == _WRITE:
+                        wts[arg] = position << 1
+                    elif kind == _KERNEL_WRITE:
+                        wts[arg] = (position << 1) | 1
                 position += 1
                 continue
             if kind == _READ or kind == _KERNEL_READ:
                 last = s_last_get(arg, -1)
-                packed = wts_get(arg)
+                packed = wts_get(arg) if trms else None
                 if packed is not None and (packed >> 1) > last:
                     # Induced first-access: the latest write to the cell
                     # is foreign (or kernel) and unseen by this thread.
@@ -211,7 +223,8 @@ class FlatAnalyzer:
                 s_last[arg] = position
             elif kind == _WRITE:
                 s_last[arg] = position
-                wts[arg] = position << 1
+                if trms:
+                    wts[arg] = position << 1
             elif kind == _CALL:
                 if context_sensitive:
                     parent = s_rtn[-1]
@@ -249,7 +262,7 @@ class FlatAnalyzer:
                     )
             elif kind == _COST:
                 state.cost += arg
-            elif kind == _KERNEL_WRITE:
+            elif kind == _KERNEL_WRITE and trms:
                 wts[arg] = (position << 1) | 1
             # THREAD_SWITCH: no per-thread effect (position still advances)
             position += 1
@@ -283,14 +296,16 @@ def analyze_columns_flat(
     names: Sequence[str],
     db: ProfileDatabase,
     context_sensitive: bool = False,
+    metric: str = "trms",
 ) -> int:
     """Run the flat kernel over column blocks; returns events analysed.
 
     ``column_blocks`` must arrive in increasing global-position order
-    (chunks in trace order) — the farm's shard plans and the offline
-    columnariser both guarantee this.
+    (chunks in trace order) — the farm's shard plans and
+    :func:`~repro.farm.binfmt.columns_from_events` both guarantee this.
     """
-    analyzer = FlatAnalyzer(threads, names, db, context_sensitive=context_sensitive)
+    analyzer = FlatAnalyzer(threads, names, db,
+                            context_sensitive=context_sensitive, metric=metric)
     for columns in column_blocks:
         analyzer.feed(columns)
     analyzer.finish()
@@ -301,10 +316,12 @@ def analyze_events_flat(
     events: Sequence[Event],
     db: ProfileDatabase,
     context_sensitive: bool = False,
+    metric: str = "trms",
 ) -> int:
     """Flat-analyse an in-memory event stream (whole trace, all threads)."""
     from ..farm.binfmt import columns_from_events
 
     columns, names = columns_from_events(events)
     return analyze_columns_flat(
-        [columns], None, names, db, context_sensitive=context_sensitive)
+        [columns], None, names, db, context_sensitive=context_sensitive,
+        metric=metric)

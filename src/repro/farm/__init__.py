@@ -2,10 +2,11 @@
 
 The paper's closing future-work item asks for "a fully scalable and
 concurrent dynamic instrumentation framework … to exploit parallelism
-to leverage the slowdown of our profiler".  :mod:`repro.core.offline`
-proved the algorithmic half — after the write-index pass, per-thread
-analyses share no mutable state — but Python threads cannot cash that
-in under the GIL.  This package is the systems half:
+to leverage the slowdown of our profiler".  Replayed offline in global
+trace order, a thread's profile depends only on its own events and the
+latest writes before each of its reads, so whole threads can be
+analysed in separate processes — Python threads cannot cash that in
+under the GIL.  This package does:
 
 * :mod:`repro.farm.binfmt` — trace format v2: chunked, struct-packed
   binary traces with a string table and a seekable chunk index;
@@ -19,8 +20,9 @@ in under the GIL.  This package is the systems half:
   bounded retries and inline fallback.
 
 The farm's contract is exactness: its merged output is bit-identical
-to the online :class:`~repro.core.trms.TrmsProfiler` on every
-workload; parallel speed is never allowed to change a profile.
+to the online :class:`~repro.core.trms.TrmsProfiler` (or
+:class:`~repro.core.rms.RmsProfiler`) on every workload; parallel
+speed is never allowed to change a profile.
 """
 
 from .binfmt import (

@@ -10,7 +10,8 @@
    ``concurrent.futures`` process pool when ``jobs > 1``, inline
    otherwise;
 4. merge the per-shard databases (:mod:`repro.farm.merge`) into one
-   profile, bit-identical to the online ``TrmsProfiler``.
+   profile, bit-identical to the online ``TrmsProfiler`` (or
+   ``RmsProfiler``, with ``metric="rms"``).
 
 Failure policy (the part a benchmark never shows): every shard gets up
 to ``1 + retries`` pool attempts with a per-shard ``timeout``; a worker
@@ -44,6 +45,7 @@ import time
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import telemetry
+from ..core.flatkernel import METRICS
 from ..core.profile_data import ProfileDatabase
 from ..telemetry import MetricsRegistry
 from .binfmt import DEFAULT_CHUNK_EVENTS, convert_v1_to_v2, is_binary_trace, read_trace_meta
@@ -96,7 +98,7 @@ class FarmStats(NamedTuple):
     wall_seconds: float
     event_count: int     #: events in the trace (not per-shard decode work)
     metrics: Optional[List[Dict]] = None   #: farm registry snapshot
-    kernel: str = "classic"   #: analysis kernel the workers ran
+    metric: str = "trms"      #: input-size metric the workers computed
 
 
 class FarmResult(NamedTuple):
@@ -320,26 +322,22 @@ def analyze_file(
     progress: Optional[Callable[[str], None]] = None,
     faults: Optional[Dict[int, Tuple]] = None,
     heartbeat_events: int = DEFAULT_HEARTBEAT_EVENTS,
-    kernel: str = "auto",
+    metric: str = "trms",
 ) -> FarmResult:
     """Analyse a recorded trace (v1 or v2) with the farm; exact by contract.
 
-    ``kernel`` selects the per-worker analysis implementation:
-    ``"flat"`` (the columnar single-pass kernel of
-    :mod:`repro.core.flatkernel`), ``"classic"`` (the two-pass
-    object-per-event machinery), or ``"auto"`` (the default — resolves
-    to ``"flat"``).  Both kernels are bit-identical by contract; the
-    differential tests run every benchmark through both.
+    ``metric`` is the input-size metric every worker's flat kernel
+    (:mod:`repro.core.flatkernel`) computes: ``"trms"`` (the default)
+    or ``"rms"``.  The differential tests run every benchmark through
+    both against the online profilers.
 
     ``faults`` maps shard ids to :class:`~repro.farm.worker.ShardTask`
     fault specs — test hooks for the retry and fallback paths; inline
     (fallback) execution always strips faults, so an injected fault can
     delay but never corrupt the result.
     """
-    if kernel not in ("auto", "flat", "classic"):
-        raise ValueError(f"unknown analysis kernel {kernel!r}")
-    if kernel == "auto":
-        kernel = "flat"
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
     started = time.perf_counter()
     tele = telemetry.current()
     farm_metrics = MetricsRegistry()
@@ -383,7 +381,7 @@ def analyze_file(
                 heartbeat_path=os.path.join(
                     heartbeat_dir, f"shard-{shard.shard_id}.jsonl"),
                 heartbeat_events=heartbeat_events,
-                kernel=kernel,
+                metric=metric,
             )
             for shard in plan.shards
         ]
@@ -438,7 +436,7 @@ def analyze_file(
             where = "pool" if result.pid != os.getpid() else "inline"
             beat = watcher.summary(task.shard_id)
             bump("farm.shard.events", result.events_decoded, shard=task.shard_id)
-            bump("farm.kernel.events", result.events_decoded, kernel=result.kernel)
+            bump("farm.kernel.events", result.events_decoded, metric=metric)
             farm_metrics.histogram("farm.shard_ms").observe(result.seconds * 1000)
             tele.histogram("farm.shard_ms").observe(result.seconds * 1000)
             outcomes.append(ShardOutcome(
@@ -459,7 +457,7 @@ def analyze_file(
         stats = FarmStats(
             plan.strategy, jobs, outcomes, retried, fallbacks, pool_failures,
             time.perf_counter() - started, meta.event_count,
-            metrics=farm_metrics.snapshot(), kernel=kernel,
+            metrics=farm_metrics.snapshot(), metric=metric,
         )
         return FarmResult(merged, stats)
     finally:

@@ -216,9 +216,17 @@ class ObservatoryStore:
         payload = _record_to_json(record)
         if supersede:
             payload["supersede"] = True
+        line = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
         with self._locked():
-            with open(self.path, "a", encoding="utf-8") as stream:
-                stream.write(json.dumps(payload, sort_keys=True) + "\n")
+            with open(self.path, "a+b") as stream:
+                end = stream.seek(0, os.SEEK_END)
+                if end:
+                    stream.seek(end - 1)
+                    if stream.read(1) != b"\n":
+                        # a crash tore the last line: start a fresh one,
+                        # or replay would drop this run with the fragment
+                        line = b"\n" + line
+                stream.write(line)
                 stream.flush()
                 os.fsync(stream.fileno())
 

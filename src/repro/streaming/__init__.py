@@ -22,7 +22,7 @@ item:
 
 Contract, enforced by the streaming differential suite: once the trace
 seals, the final streamed profile is **byte-identical** to batch
-``repro analyze --kernel flat`` under *any* chunk-arrival schedule.
+``repro analyze --metric trms`` under *any* chunk-arrival schedule.
 See docs/STREAMING.md.
 """
 

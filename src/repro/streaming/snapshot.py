@@ -26,7 +26,7 @@ The design constraints:
   :func:`checkpoint_dump_bytes` (base + deltas reassembled) is the very
   byte string ``save_profile`` would emit for the same database —
   that's what the streaming differential suite compares against batch
-  ``repro analyze --kernel flat`` output.
+  ``repro analyze --metric trms`` output.
 """
 
 from __future__ import annotations

@@ -1,41 +1,48 @@
-"""Differential property tests: flat-array kernel vs classic vs online.
+"""Differential property tests: the flat-array kernel vs the online profilers.
 
-The flat kernel (:mod:`repro.core.flatkernel`) re-implements the offline
-TRMS hot loop over columnar event batches — packed latest-write shadow,
-flat array stacks, single interleaved pass.  Its contract is *bit
-identity*: on any trace hypothesis can dream up, it must produce exactly
-the database of the classic two-pass machinery and of the online
-:class:`~repro.core.trms.TrmsProfiler` — including under timestamp
-renumbering (Section 4.4), context sensitivity, and sharded thread
-assignments.
+The flat kernel (:mod:`repro.core.flatkernel`) is the one offline copy of
+the latest-access algorithm: columnar event batches, a packed
+latest-write shadow (TRMS only), flat array stacks, a single interleaved
+pass.  Its contract is *bit identity*: on any trace hypothesis can dream
+up, each metric must produce exactly the database of the online
+:class:`~repro.core.rms.RmsProfiler` / :class:`~repro.core.trms.TrmsProfiler`
+— including under timestamp renumbering (Section 4.4), context
+sensitivity, and sharded thread assignments.  Every property checks
+both metrics on the same trace.
 """
 
 import io
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ProfileDatabase, TrmsProfiler, analyze_trace, replay
-from repro.core.flatkernel import FlatAnalyzer, analyze_events_flat
+from repro.core import NaiveRms, ProfileDatabase, RmsProfiler, TrmsProfiler, replay
+from repro.core.flatkernel import METRICS, FlatAnalyzer, analyze_events_flat
 
 from .util import THREADS, db_snapshot, events_strategy
 
+ONLINE = {"rms": RmsProfiler, "trms": TrmsProfiler}
 
-@settings(max_examples=200, deadline=None)
-@given(events_strategy())
-def test_flat_kernel_matches_classic_offline(events):
-    flat = analyze_trace(events, keep_activations=True, kernel="flat")
-    classic = analyze_trace(events, keep_activations=True, kernel="classic")
-    assert db_snapshot(flat) == db_snapshot(classic)
+
+def flat_db(events, metric, **kwargs):
+    db = ProfileDatabase(keep_activations=True)
+    analyze_events_flat(events, db, metric=metric, **kwargs)
+    return db
+
+
+def online_db(events, metric, **kwargs):
+    profiler = ONLINE[metric](keep_activations=True, **kwargs)
+    replay(events, profiler)
+    return profiler.db
 
 
 @settings(max_examples=150, deadline=None)
 @given(events_strategy())
 def test_flat_kernel_matches_online_profiler(events):
-    flat = analyze_trace(events, keep_activations=True, kernel="flat")
-    online = TrmsProfiler(keep_activations=True)
-    replay(events, online)
-    assert db_snapshot(flat) == db_snapshot(online.db)
+    for metric in METRICS:
+        assert db_snapshot(flat_db(events, metric)) == \
+            db_snapshot(online_db(events, metric)), metric
 
 
 @settings(max_examples=120, deadline=None)
@@ -45,34 +52,33 @@ def test_flat_kernel_matches_online_under_renumbering(events):
     timestamps constantly (Section 4.4); the flat kernel uses unbounded
     trace positions and must still land on the identical profiles —
     the counter-overflow edge cases cancel out or neither is exact."""
-    flat = analyze_trace(events, keep_activations=True, kernel="flat")
-    online = TrmsProfiler(keep_activations=True, max_count=40)
-    replay(events, online)
-    assert db_snapshot(flat) == db_snapshot(online.db)
+    for metric in METRICS:
+        assert db_snapshot(flat_db(events, metric)) == \
+            db_snapshot(online_db(events, metric, max_count=40)), metric
 
 
 @settings(max_examples=120, deadline=None)
 @given(events_strategy())
-def test_flat_kernel_context_sensitive_matches_classic(events):
-    flat = analyze_trace(events, keep_activations=True, kernel="flat",
-                         context_sensitive=True)
-    classic = analyze_trace(events, keep_activations=True, kernel="classic",
-                            context_sensitive=True)
-    assert db_snapshot(flat) == db_snapshot(classic)
+def test_flat_kernel_context_sensitive_matches_online(events):
+    for metric in METRICS:
+        flat = flat_db(events, metric, context_sensitive=True)
+        online = online_db(events, metric, context_sensitive=True)
+        assert db_snapshot(flat) == db_snapshot(online), metric
 
 
 @settings(max_examples=100, deadline=None)
 @given(events_strategy())
 def test_flat_kernel_dumps_are_byte_identical(events):
-    """The CI gate compares SHA-256 of profile dumps, so equality has to
-    hold at the *byte* level of ``save_profile``, not just structurally."""
+    """The CI gate ``cmp``s profile dumps, so equality has to hold at the
+    *byte* level of ``save_profile``, not just structurally."""
     from repro.farm import save_profile
 
-    flat_dump = io.StringIO()
-    classic_dump = io.StringIO()
-    save_profile(analyze_trace(events, kernel="flat"), flat_dump)
-    save_profile(analyze_trace(events, kernel="classic"), classic_dump)
-    assert flat_dump.getvalue() == classic_dump.getvalue()
+    for metric in METRICS:
+        flat_dump = io.StringIO()
+        online_dump = io.StringIO()
+        save_profile(flat_db(events, metric), flat_dump)
+        save_profile(online_db(events, metric), online_dump)
+        assert flat_dump.getvalue() == online_dump.getvalue(), metric
 
 
 @settings(max_examples=100, deadline=None)
@@ -80,22 +86,59 @@ def test_flat_kernel_dumps_are_byte_identical(events):
 def test_flat_kernel_sharded_threads_merge_to_whole(events, split):
     """Analysing disjoint thread subsets with separate FlatAnalyzers
     (the farm's sharding) and merging must equal the whole-trace run —
-    foreign threads contribute exactly their writes, nothing else."""
+    foreign threads contribute exactly their writes to TRMS, and
+    nothing to RMS."""
     from repro.farm import merge_databases
     from repro.farm.binfmt import columns_from_events
-
-    whole = ProfileDatabase(keep_activations=True)
-    analyze_events_flat(events, whole)
 
     threads_seen = sorted({event.thread for event in events})
     shards = [threads_seen[:split], threads_seen[split:]]
     columns, names = columns_from_events(events)
-    partials = []
-    for shard_threads in shards:
-        db = ProfileDatabase(keep_activations=True)
-        analyzer = FlatAnalyzer(shard_threads, names, db)
-        analyzer.feed(columns)
-        analyzer.finish()
-        partials.append(db)
-    merged = merge_databases(partials, keep_activations=True)
-    assert db_snapshot(merged) == db_snapshot(whole)
+    for metric in METRICS:
+        partials = []
+        for shard_threads in shards:
+            db = ProfileDatabase(keep_activations=True)
+            analyzer = FlatAnalyzer(shard_threads, names, db, metric=metric)
+            analyzer.feed(columns)
+            analyzer.finish()
+            partials.append(db)
+        merged = merge_databases(partials, keep_activations=True)
+        assert db_snapshot(merged) == db_snapshot(flat_db(events, metric)), metric
+
+
+@settings(max_examples=150, deadline=None)
+@given(events_strategy())
+def test_flat_rms_matches_naive_oracle(events):
+    """Flat RMS against the Figure 10 stack-walking oracle directly, so
+    the kernel is not only as right as the profiler it mirrors."""
+    oracle = NaiveRms(keep_activations=True)
+    replay(events, oracle)
+    assert db_snapshot(flat_db(events, "rms")) == db_snapshot(oracle.db)
+
+
+def test_flat_kernel_rejects_unknown_metric():
+    with pytest.raises(ValueError, match="unknown metric"):
+        FlatAnalyzer(None, [], ProfileDatabase(), metric="both")
+
+
+def test_flat_kernel_on_real_vm_trace(tmp_path):
+    """End to end on a recorded multithreaded guest run: the consumer of
+    Figure 2 reads 20 values the producer wrote — 20 induced
+    first-accesses under TRMS."""
+    from repro.farm import BinaryTraceWriter, read_binary_trace
+    from repro.vm import programs
+
+    path = tmp_path / "pc.rpt2"
+    with open(path, "wb") as stream:
+        writer = BinaryTraceWriter(stream)
+        programs.producer_consumer(20).run(tools=writer)
+        writer.close()
+    with open(path, "rb") as stream:
+        events = read_binary_trace(stream)
+    for metric in METRICS:
+        assert db_snapshot(flat_db(events, metric)) == \
+            db_snapshot(online_db(events, metric)), metric
+    trms = flat_db(events, "trms")
+    consumer = [a for a in trms.activations if a.routine == "consumer"][0]
+    assert consumer.size == 20
+    assert consumer.induced_thread == 20

@@ -1,100 +1,70 @@
-"""Differential tests: offline two-pass TRMS vs the online profiler.
+"""Differential tests: offline analysis of a recorded trace vs the online profilers.
 
-The future-work parallelisation is only worth anything if the offline
-restructuring is *exactly* the same analysis; these properties say it is.
+Offline analysis is what ``repro analyze`` runs: the trace is spooled to
+a v2 file and :func:`repro.farm.analyze_file` hands its thread shards to
+the flat kernel.  It is only worth anything if it is *exactly* the
+analysis the online profilers do while the program runs; these
+properties say it is, for both metrics.
 """
 
-import pytest
 from hypothesis import given, settings
 
-from repro.core import TrmsProfiler, analyze_trace, build_write_index, replay
+from repro.core import RmsProfiler, TrmsProfiler, replay
+from repro.core.flatkernel import METRICS
+from repro.farm import analyze_events
 
 from .util import db_snapshot, events_strategy
 
+ONLINE = {"rms": RmsProfiler, "trms": TrmsProfiler}
 
-def online_db(events, **kwargs):
-    profiler = TrmsProfiler(keep_activations=True, **kwargs)
+
+def online_db(events, metric, **kwargs):
+    profiler = ONLINE[metric](keep_activations=True, **kwargs)
     replay(events, profiler)
     return profiler.db
 
 
-def comparable(db):
-    snap = db_snapshot(db)
-    # activation order legitimately differs (per-thread vs interleaved)
-    return snap["profiles"], snap["global_induced"], sorted(snap["activations"])
+def offline_db(events, metric, jobs=1, **kwargs):
+    return analyze_events(events, jobs=jobs, keep_activations=True,
+                          metric=metric, **kwargs).db
 
 
 @settings(max_examples=150, deadline=None)
 @given(events_strategy())
 def test_offline_equals_online(events):
-    offline = analyze_trace(events, keep_activations=True)
-    assert comparable(offline) == comparable(online_db(events))
-
-
-@settings(max_examples=80, deadline=None)
-@given(events_strategy())
-def test_offline_parallel_equals_sequential(events):
-    sequential = analyze_trace(events, workers=1, keep_activations=True)
-    parallel = analyze_trace(events, workers=4, keep_activations=True)
-    assert comparable(sequential) == comparable(parallel)
+    for metric in METRICS:
+        assert db_snapshot(offline_db(events, metric)) == \
+            db_snapshot(online_db(events, metric)), metric
 
 
 @settings(max_examples=60, deadline=None)
 @given(events_strategy())
 def test_offline_context_sensitive_equals_online(events):
-    offline = analyze_trace(events, context_sensitive=True, keep_activations=True)
-    online = online_db(events, context_sensitive=True)
-    assert comparable(offline) == comparable(online)
+    for metric in METRICS:
+        offline = offline_db(events, metric, context_sensitive=True)
+        online = online_db(events, metric, context_sensitive=True)
+        assert db_snapshot(offline) == db_snapshot(online), metric
 
 
-def test_write_index_lookup_semantics():
-    from repro.core import Event, EventKind
-
-    events = [
-        Event(EventKind.WRITE, 1, 7),         # position 0
-        Event(EventKind.KERNEL_WRITE, 2, 7),  # position 1
-        Event(EventKind.WRITE, 2, 9),         # position 2
-    ]
-    index = build_write_index(events)
-    assert index.latest_before(7, 0) is None
-    assert index.latest_before(7, 1) == (0, 1)
-    assert index.latest_before(7, 2) == (1, -1)   # kernel writer
-    assert index.latest_before(9, 99) == (2, 2)
-    assert index.latest_before(1234, 5) is None
-    assert index.cells() == 2
-
-
-def test_offline_on_real_vm_trace():
-    """End to end on a recorded multithreaded guest run."""
-    import sys
-    sys.path.insert(0, "benchmarks")
-    from conftest import EventRecorder
-
-    from repro.core import Event, EventKind
+def test_offline_on_real_vm_trace(tmp_path):
+    """End to end on a recorded multithreaded guest run, farmed over
+    three workers: the consumer of Figure 2 reads 20 values the producer
+    wrote — 20 induced first-accesses under TRMS."""
+    from repro.farm import BinaryTraceWriter, analyze_file, read_binary_trace
     from repro.vm import programs
 
-    recorder = EventRecorder()
-    programs.producer_consumer(20).run(tools=recorder)
-    events = []
-    kind_map = {
-        "on_call": EventKind.CALL, "on_return": EventKind.RETURN,
-        "on_read": EventKind.READ, "on_write": EventKind.WRITE,
-        "on_kernel_read": EventKind.KERNEL_READ,
-        "on_kernel_write": EventKind.KERNEL_WRITE,
-        "on_thread_switch": EventKind.THREAD_SWITCH,
-        "on_cost": EventKind.COST,
-    }
-    for name, first, second in recorder.events:
-        kind = kind_map[name]
-        if kind == EventKind.THREAD_SWITCH:
-            events.append(Event(kind, first, first))
-        elif kind == EventKind.RETURN:
-            events.append(Event(kind, first, None))
-        else:
-            events.append(Event(kind, first, second))
-    offline = analyze_trace(events, workers=3, keep_activations=True)
-    online = online_db(events)
-    assert comparable(offline) == comparable(online)
-    consumer = [a for a in offline.activations if a.routine == "consumer"][0]
+    path = tmp_path / "pc.rpt2"
+    with open(path, "wb") as stream:
+        writer = BinaryTraceWriter(stream, chunk_events=64)
+        programs.producer_consumer(20).run(tools=writer)
+        writer.close()
+    with open(path, "rb") as stream:
+        events = read_binary_trace(stream)
+    for metric in METRICS:
+        offline = analyze_file(str(path), jobs=3, keep_activations=True,
+                               metric=metric).db
+        assert db_snapshot(offline) == db_snapshot(online_db(events, metric)), metric
+    trms = analyze_file(str(path), jobs=3, keep_activations=True).db
+    consumer = [a for a in trms.activations if a.routine == "consumer"][0]
     assert consumer.size == 20
     assert consumer.induced_thread == 20

@@ -1,10 +1,9 @@
 """Differential tests: the farm's contract is bit-exactness.
 
 Farm-analysed profiles (any shard plan, in-process or multiprocess,
-either analysis kernel) must equal the online ``TrmsProfiler`` on every
-registered workload suite, the flat and classic kernels must dump
-byte-identically, and merged per-run profiles must equal the merge of
-the online results.
+either metric) must equal the online ``RmsProfiler``/``TrmsProfiler`` on
+every registered workload suite, dump byte-identically to them, and
+merged per-run profiles must equal the merge of the online results.
 """
 
 import io
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.flatkernel import METRICS
 from repro.farm import (
     analyze_events,
     analyze_file,
@@ -29,43 +29,53 @@ from .util import comparable, online_db, record_benchmark_v2
 ALL_NAMES = [bench.name for bench in all_benchmarks()]
 #: one entry per kernel family, both suites — the multiprocess subset
 POOLED_NAMES = ["350.md", "367.imagick", "376.kdtree", "dedup", "canneal", "vips"]
+#: both metrics, under the ids these tests had when they compared the
+#: flat and classic kernels (both computing TRMS), so test ids stay
+#: stable across the change of axis
+METRIC_PARAMS = [pytest.param("trms", id="flat"), pytest.param("rms", id="classic")]
 
-KERNELS = ("flat", "classic")
+
+def dump_of(db) -> str:
+    stream = io.StringIO()
+    save_profile(db, stream)
+    return stream.getvalue()
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("metric", METRIC_PARAMS)
 @pytest.mark.parametrize("name", ALL_NAMES)
-def test_farm_equals_online_on_every_benchmark(name, kernel, tmp_path):
+def test_farm_equals_online_on_every_benchmark(name, metric, tmp_path):
     """In-process farm (full shard/decode/merge machinery) vs online."""
     path = tmp_path / f"{name}.rpt2"
     events = record_benchmark_v2(name, path, threads=4, scale=0.4)
-    result = analyze_file(str(path), jobs=1, keep_activations=True, kernel=kernel)
-    assert comparable(result.db) == comparable(online_db(events))
-    assert result.stats.kernel == kernel
+    result = analyze_file(str(path), jobs=1, keep_activations=True, metric=metric)
+    assert comparable(result.db) == comparable(online_db(events, metric=metric))
+    assert result.stats.metric == metric
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_kernel_dumps_byte_identical_on_every_benchmark(name, tmp_path):
-    """The flat and classic kernels must agree to the *byte* in their
-    profile dumps — the equality the CI gate re-checks via SHA-256."""
+    """Both metrics' farm dumps must equal the online profilers' dumps to
+    the *byte*, context off and on, at one job and at three — the
+    equality the CI gate re-checks with ``cmp``."""
     path = tmp_path / f"{name}.rpt2"
-    record_benchmark_v2(name, path, threads=4, scale=0.4)
-    dumps = {}
-    for kernel in KERNELS:
-        result = analyze_file(str(path), jobs=1, kernel=kernel)
-        stream = io.StringIO()
-        save_profile(result.db, stream)
-        dumps[kernel] = stream.getvalue()
-    assert dumps["flat"] == dumps["classic"]
+    events = record_benchmark_v2(name, path, threads=4, scale=0.4)
+    for context in (False, True):
+        for metric in METRICS:
+            online = dump_of(online_db(events, metric=metric,
+                                       context_sensitive=context))
+            for jobs in (1, 3):
+                result = analyze_file(str(path), jobs=jobs, metric=metric,
+                                      context_sensitive=context)
+                assert dump_of(result.db) == online, (metric, context, jobs)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("metric", METRIC_PARAMS)
 @pytest.mark.parametrize("name", POOLED_NAMES)
-def test_multiprocess_farm_equals_online(name, kernel, tmp_path):
+def test_multiprocess_farm_equals_online(name, metric, tmp_path):
     path = tmp_path / f"{name}.rpt2"
     events = record_benchmark_v2(name, path, threads=6, scale=0.5)
-    result = analyze_file(str(path), jobs=3, keep_activations=True, kernel=kernel)
-    assert comparable(result.db) == comparable(online_db(events))
+    result = analyze_file(str(path), jobs=3, keep_activations=True, metric=metric)
+    assert comparable(result.db) == comparable(online_db(events, metric=metric))
     # every shard really ran on the pool, no silent degradation
     assert all(outcome.where == "pool" for outcome in result.stats.outcomes)
     assert result.stats.fallbacks == 0
@@ -105,11 +115,11 @@ def test_skewed_plan_is_exact(tmp_path):
 
 @settings(max_examples=60, deadline=None)
 @given(events_strategy(max_ops=100), st.sampled_from([4, 64]),
-       st.sampled_from(KERNELS))
-def test_farm_equals_online_on_arbitrary_streams(events, chunk_events, kernel):
+       st.sampled_from(METRICS))
+def test_farm_equals_online_on_arbitrary_streams(events, chunk_events, metric):
     result = analyze_events(events, jobs=1, chunk_events=chunk_events,
-                            keep_activations=True, kernel=kernel)
-    assert comparable(result.db) == comparable(online_db(events))
+                            keep_activations=True, metric=metric)
+    assert comparable(result.db) == comparable(online_db(events, metric=metric))
 
 
 def test_merged_runs_equal_merged_online(tmp_path):

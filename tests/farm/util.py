@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core import TrmsProfiler, replay
+from repro.core import RmsProfiler, TrmsProfiler, replay
 from repro.farm import BinaryTraceWriter, read_binary_trace
 from repro.workloads import benchmark
 
@@ -17,9 +17,10 @@ def record_benchmark_v2(name, path, threads=4, scale=0.5, chunk_events=256):
         return read_binary_trace(stream)
 
 
-def online_db(events, **kwargs):
-    """The ground truth: the online TRMS profiler over the same events."""
-    profiler = TrmsProfiler(keep_activations=True, **kwargs)
+def online_db(events, metric="trms", **kwargs):
+    """The ground truth: the online profiler of ``metric`` over the events."""
+    profiler_class = RmsProfiler if metric == "rms" else TrmsProfiler
+    profiler = profiler_class(keep_activations=True, **kwargs)
     replay(events, profiler)
     return profiler.db
 

@@ -140,6 +140,20 @@ def test_truncated_trailing_line_is_ignored(tmp_path):
     assert len(reopened) == 3
 
 
+def test_append_after_torn_line_survives_reopen(tmp_path):
+    """An append after a crash-torn line must land on a line of its own,
+    or replay drops the new, acknowledged run with the fragment."""
+    store = seeded_store(tmp_path / "obs", drifting_history(runs=2))
+    with open(store.path, "a", encoding="utf-8") as stream:
+        stream.write('{"type": "run", "run_id": "torn')   # crash mid-append
+    assert store.add_run(empty_run("r3"))
+    store.close()
+    reopened = ObservatoryStore(str(tmp_path / "obs"))
+    assert len(reopened) == 3
+    assert reopened.has_run("r3")
+    assert not reopened.has_run("torn")
+
+
 def test_history_lines_are_self_describing(tmp_path):
     store = ObservatoryStore(str(tmp_path / "obs"))
     store.add_run(empty_run("r1", curves=[

@@ -31,7 +31,7 @@ def test_record_live_then_watch_then_batch_identity(tmp_path):
 
     with open(streamed, "wb") as stream:
         stream.write(checkpoint_dump_bytes(ckpt))
-    code, _ = run_cli("analyze", trace, "--kernel", "flat", "--dump", batch)
+    code, _ = run_cli("analyze", trace, "--dump", batch)
     assert code == 0
     assert filecmp.cmp(streamed, batch, shallow=False)
 

@@ -185,13 +185,26 @@ def test_merge_rejects_non_profile(tmp_path):
     assert "error" in output
 
 
-def test_analyze_rms_with_jobs_notes_sequential(tmp_path):
+def test_analyze_jobs_farms_both_metrics(tmp_path):
+    """With --jobs, RMS is farmed like TRMS, and both reports equal the
+    online profilers' replay of the same trace."""
+    from repro.core import EventBus, RmsProfiler, TrmsProfiler, replay
+    from repro.farm import read_binary_trace
+    from repro.reporting import render_report
+
     trace = tmp_path / "run.rpt2"
     run_cli("record", "350.md", str(trace), "--threads", "2", "--scale", "0.5")
-    code, output = run_cli("analyze", str(trace), "--jobs", "2")
+    code, output = run_cli("analyze", str(trace), "--jobs", "2", "--stats")
     assert code == 0
-    assert "rms runs sequentially" in output
-    assert "rms profile" in output and "trms profile" in output
+    assert "sequentially" not in output
+    assert output.count("farm shards") == 2
+    assert "metric: rms" in output and "metric: trms" in output
+    with open(trace, "rb") as stream:
+        events = read_binary_trace(stream)
+    rms, trms = RmsProfiler(), TrmsProfiler()
+    replay(events, EventBus([rms, trms]))
+    assert render_report(rms.db, title=f"rms profile of {trace}") in output
+    assert render_report(trms.db, title=f"trms profile of {trace}") in output
 
 
 def test_profile_html_report(tmp_path):
