@@ -2,8 +2,8 @@
 
 The flat kernel is the one offline analysis: every ``repro analyze``
 runs it, for RMS and for TRMS.  This bench measures the quantity the
-kernel was built for — single-shard analysis throughput (events/s) of
-``run_shard`` — against decoding the same recorded v2 trace into
+kernel was built for — one-metric analysis throughput (events/s) of
+``analyze_file`` — against decoding the same recorded v2 trace into
 ``Event`` objects and replaying it through the online
 :class:`~repro.core.rms.RmsProfiler` / :class:`~repro.core.trms.TrmsProfiler`,
 the object-per-event path the kernel replaces:
@@ -31,10 +31,8 @@ import time
 
 from repro.core import RmsProfiler, TrmsProfiler, replay
 from repro.core.flatkernel import METRICS
-from repro.farm import BinaryTraceWriter, iter_binary_trace, save_profile
+from repro.farm import BinaryTraceWriter, analyze_file, iter_binary_trace, save_profile
 from repro.farm.binfmt import read_trace_meta
-from repro.farm.shards import plan_shards
-from repro.farm.worker import ShardTask, run_shard
 from repro.reporting import table
 from repro.workloads import benchmark as get_benchmark
 
@@ -79,12 +77,9 @@ def measure_paths(path: str, metric: str):
     """
     with open(path, "rb") as stream:
         meta = read_trace_meta(stream)
-    shard = plan_shards(meta, 1).shards[0]
-    task = ShardTask(path, shard.shard_id, shard.threads,
-                     shard.chunk_indices, metric=metric)
     runs = {
         "online": lambda: online_replay(path, metric),
-        "flat": lambda: run_shard(task).db,
+        "flat": lambda: analyze_file(path, metrics=(metric,)).db,
     }
     seconds = {kind: float("inf") for kind in PATHS}
     digests = {kind: profile_digest(run()) for kind, run in runs.items()}
@@ -138,7 +133,7 @@ def test_kernel_throughput(benchmark, scale):
         ["metric:workload", "path", "events", "time", "events/s", "speedup"],
         rows,
         title=f"Analysis throughput, flat kernel vs online replay — "
-              f"single shard, best of {ROUNDS}",
+              f"one metric per pass, best of {ROUNDS}",
     ))
 
     # exactness is unconditional: flat must be byte-identical to online

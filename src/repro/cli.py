@@ -12,18 +12,18 @@ Commands:
 * ``record <benchmark> <file>`` — record one execution's event trace
   (chunked binary v2 by default, ``--format v1`` for the text format);
 * ``analyze <trace>`` — compute the RMS and/or TRMS profiles of a
-  recorded trace with the flat offline kernel (``docs/KERNEL.md``),
-  byte-identical to the online profilers; ``--jobs N`` farms each
-  metric's analysis out to N worker processes, ``--dump`` writes a
+  recorded trace with the flat offline kernel (``docs/KERNEL.md``) in
+  one pass that decodes each chunk once for both metrics,
+  byte-identical to the online profilers; ``--dump`` writes a
   mergeable profile dump;
 * ``merge -o out.profile a.profile b.profile …`` — associatively merge
-  profile dumps of several shards or several independent runs into one
+  profile dumps of several independent runs into one
   richer profile;
 * ``overhead <benchmark>`` — measure the profilers' own slowdown and
   space against a native run (the paper's Table 1 discipline) and
   report from telemetry data alone;
 * ``stats <run>`` — render the dashboard of a recorded telemetry run
-  (span tree, worker heartbeats, metrics, overhead table), optionally
+  (span tree, metrics, overhead table), optionally
   as a self-contained HTML file;
 * ``diff <old> <new>`` — classify per-routine asymptotic regressions
   between two profile dumps (``regressed``/``slower``/… — the cost-
@@ -44,8 +44,8 @@ Commands:
   render cross-process request waterfalls (``--slowest N`` picks the
   worst uploads; ``--html`` writes SVG timelines).
 
-Every pipeline command accepts ``--telemetry DIR``: spans, heartbeats
-and metrics of that invocation land in ``DIR/telemetry.jsonl`` for
+Every pipeline command accepts ``--telemetry DIR``: spans and
+metrics of that invocation land in ``DIR/telemetry.jsonl`` for
 ``repro stats`` (see ``docs/TELEMETRY.md``).  Telemetry never changes
 profile output — only observes it.
 
@@ -72,7 +72,7 @@ __all__ = ["main", "build_parser"]
 def _add_telemetry_option(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--telemetry", metavar="DIR",
-        help="record spans/heartbeats/metrics to DIR/telemetry.jsonl "
+        help="record spans/metrics to DIR/telemetry.jsonl "
              "(render with `repro stats DIR`)")
 
 
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("--format", choices=["v2", "v1"], default="v2",
                         help="v2: chunked binary (farm-ready); v1: text")
     record.add_argument("--chunk-events", type=int, default=4096, metavar="N",
-                        help="events per v2 chunk (shard planning granularity)")
+                        help="events per v2 chunk (decode granularity)")
     record.add_argument("--live", metavar="DIR",
                         help="stream the trace while recording (v2 only): "
                              "flush every sealed chunk + names sidecar and "
@@ -161,19 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("trace", help="file produced by `record` (v1 or v2)")
     analyze.add_argument("--metric", choices=["rms", "trms", "both"], default="both")
     analyze.add_argument("--context", action="store_true")
-    analyze.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="farm each metric's analysis out to N worker "
-                              "processes")
-    analyze.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                         help="per-shard worker timeout (with --jobs)")
     analyze.add_argument("--dump", metavar="FILE",
                          help="write a mergeable profile dump (see `merge`)")
     analyze.add_argument("--stats", action="store_true",
-                         help="print the farm shard/throughput report")
+                         help="print the decode/kernel time report")
     _add_telemetry_option(analyze)
 
     merge = commands.add_parser(
-        "merge", help="merge profile dumps of several shards or runs"
+        "merge", help="merge profile dumps of several runs"
     )
     merge.add_argument("inputs", nargs="+",
                        help="profile dumps produced by `analyze --dump`")
@@ -564,27 +559,22 @@ def _cmd_analyze(args, out) -> int:
     from .farm import analyze_file, save_profile
 
     metrics = ("rms", "trms") if args.metric == "both" else (args.metric,)
-    databases = {}
     try:
-        for metric in metrics:
-            result = analyze_file(
-                args.trace, jobs=args.jobs, context_sensitive=args.context,
-                timeout=args.timeout, progress=out.write, metric=metric,
-            )
-            databases[metric] = result.db
-            if args.stats:
-                from .reporting import render_farm_stats
-
-                out.write(render_farm_stats(result.stats))
-                out.write("\n")
+        result = analyze_file(args.trace, metrics=metrics,
+                              context_sensitive=args.context)
     except (TraceFileError, OSError) as error:
         out.write(f"error: {error}\n")
         return 2
-    for metric in ("rms", "trms"):
-        if metric in databases:
-            out.write(render_report(databases[metric],
-                                    title=f"{metric} profile of {args.trace}"))
-            out.write("\n")
+    databases = result.dbs
+    if args.stats:
+        from .reporting import render_analysis_stats
+
+        out.write(render_analysis_stats(result.stats))
+        out.write("\n")
+    for metric in metrics:
+        out.write(render_report(databases[metric],
+                                title=f"{metric} profile of {args.trace}"))
+        out.write("\n")
     if args.dump:
         reference = databases.get("trms") or databases["rms"]
         with open(args.dump, "w") as stream:
@@ -932,7 +922,7 @@ def _cmd_stats(args, out) -> int:
     except OSError as error:
         out.write(f"error: {error}\n")
         return 2
-    if not (run.spans or run.heartbeats or run.metrics or run.events):
+    if not (run.spans or run.metrics or run.events):
         out.write(f"error: no telemetry records in {args.run}\n")
         return 2
     out.write(render_telemetry_dashboard(run))

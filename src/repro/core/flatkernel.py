@@ -23,12 +23,12 @@ replay through the online profilers:
    columns the kernel binds to locals, so the per-event work is integer
    compares, dict probes and in-place column updates.
 
-The kernel analyses all of a shard's threads in a *single interleaved
+The kernel analyses every thread of the trace in a *single interleaved
 pass*, keeping per-thread stacks and latest-access tables exactly like
 the online profiler keeps per-thread states.  ``metric`` picks the
 input-size metric: ``"trms"`` stamps and probes the global latest-write
 table (the multithreaded extension), ``"rms"`` never touches it — kernel
-writes and other threads' events are then invisible, as they are to
+writes and other threads' writes are then invisible, as they are to
 aprof-rms.  Either way the output is **bit-identical** to the online
 :class:`~repro.core.rms.RmsProfiler` / :class:`~repro.core.trms.TrmsProfiler`
 — enforced by the farm differential tests and the property-based kernel
@@ -87,10 +87,10 @@ class _FlatThreadState:
 class FlatAnalyzer:
     """Single-pass flat-array RMS or TRMS analysis over event columns.
 
+    Every thread that appears in the fed columns is analysed, in
+    first-appearance order.
+
     Args:
-        threads: the threads to analyse (a shard's assignment).  Events
-            of other threads contribute only their writes (TRMS) or
-            nothing (RMS).  ``None`` analyses every thread that appears.
         names: the trace string table ``CALL`` arguments index into.
         db: the database activations are emitted into.
         context_sensitive: key profiles by calling context; contexts
@@ -104,7 +104,6 @@ class FlatAnalyzer:
 
     def __init__(
         self,
-        threads: Optional[Sequence[int]],
         names: Sequence[str],
         db: ProfileDatabase,
         context_sensitive: bool = False,
@@ -125,15 +124,10 @@ class FlatAnalyzer:
         self._extra: List[str] = []
         self._ctx_ids: Dict[Tuple[int, int], int] = {}
         self.states: Dict[int, _FlatThreadState] = {}
-        #: thread order for :meth:`finish` unwinding (assignment order,
-        #: or first-appearance order when analysing every thread)
+        #: thread order for :meth:`finish` unwinding (first appearance)
         self._order: List[int] = []
-        self._assigned = frozenset(threads) if threads is not None else None
         self.events_analyzed = 0
         self.wts = PackedLatestWrite()
-        if threads is not None:
-            for thread in threads:
-                self._ensure(thread)
 
     def _ensure(self, thread: int) -> _FlatThreadState:
         state = _FlatThreadState(thread)
@@ -162,7 +156,6 @@ class FlatAnalyzer:
         ctx_ids = self._ctx_ids
         context_sensitive = self.context_sensitive
         states = self.states
-        lazy = self._assigned is None
         trms = self.metric == "trms"
         wts = self.wts
         wts_get = wts.get
@@ -179,27 +172,17 @@ class FlatAnalyzer:
             if thread != current_thread:
                 current_thread = thread
                 state = states.get(thread)
-                if state is None and lazy:
+                if state is None:
                     state = self._ensure(thread)
-                if state is not None:
-                    stack = state.stack
-                    s_last = state.last
-                    s_last_get = s_last.get
-                    s_rtn = stack.rtn
-                    s_ts = stack.ts
-                    s_cost = stack.cost
-                    s_partial = stack.partial
-                    s_ind_thread = stack.induced_thread
-                    s_ind_external = stack.induced_external
-            if state is None:
-                # Foreign thread: only its writes are visible, to TRMS.
-                if trms:
-                    if kind == _WRITE:
-                        wts[arg] = position << 1
-                    elif kind == _KERNEL_WRITE:
-                        wts[arg] = (position << 1) | 1
-                position += 1
-                continue
+                stack = state.stack
+                s_last = state.last
+                s_last_get = s_last.get
+                s_rtn = stack.rtn
+                s_ts = stack.ts
+                s_cost = stack.cost
+                s_partial = stack.partial
+                s_ind_thread = stack.induced_thread
+                s_ind_external = stack.induced_external
             if kind == _READ or kind == _KERNEL_READ:
                 last = s_last_get(arg, -1)
                 packed = wts_get(arg) if trms else None
@@ -292,7 +275,6 @@ class FlatAnalyzer:
 
 def analyze_columns_flat(
     column_blocks: Iterable,
-    threads: Optional[Sequence[int]],
     names: Sequence[str],
     db: ProfileDatabase,
     context_sensitive: bool = False,
@@ -301,10 +283,10 @@ def analyze_columns_flat(
     """Run the flat kernel over column blocks; returns events analysed.
 
     ``column_blocks`` must arrive in increasing global-position order
-    (chunks in trace order) — the farm's shard plans and
-    :func:`~repro.farm.binfmt.columns_from_events` both guarantee this.
+    (chunks in trace order, as the v2 chunk index lists them, or one
+    block from :func:`~repro.farm.binfmt.columns_from_events`).
     """
-    analyzer = FlatAnalyzer(threads, names, db,
+    analyzer = FlatAnalyzer(names, db,
                             context_sensitive=context_sensitive, metric=metric)
     for columns in column_blocks:
         analyzer.feed(columns)
@@ -323,5 +305,5 @@ def analyze_events_flat(
 
     columns, names = columns_from_events(events)
     return analyze_columns_flat(
-        [columns], None, names, db, context_sensitive=context_sensitive,
+        [columns], names, db, context_sensitive=context_sensitive,
         metric=metric)

@@ -1,28 +1,21 @@
-"""Distributed trace-analysis farm.
+"""Offline trace analysis: the binary trace format, one pass, merging.
 
-The paper's closing future-work item asks for "a fully scalable and
-concurrent dynamic instrumentation framework … to exploit parallelism
-to leverage the slowdown of our profiler".  Replayed offline in global
-trace order, a thread's profile depends only on its own events and the
-latest writes before each of its reads, so whole threads can be
-analysed in separate processes — Python threads cannot cash that in
-under the GIL.  This package does:
+The paper analyses one serialized, globally ordered event stream with a
+single latest-access pass; offline, this package runs that pass over a
+recorded trace:
 
 * :mod:`repro.farm.binfmt` — trace format v2: chunked, struct-packed
-  binary traces with a string table and a seekable chunk index;
-* :mod:`repro.farm.shards` — shard planning over the chunk index
-  (whole threads per shard, chunk-range fallback for skewed traces);
-* :mod:`repro.farm.worker` — the per-process shard analyser;
+  binary traces with a string table and a seekable chunk index, plus
+  the columnar chunk decode the kernel consumes;
+* :mod:`repro.farm.engine` — ``analyze_file``: decode each chunk once
+  and feed it to one :class:`~repro.core.flatkernel.FlatAnalyzer` per
+  requested metric;
 * :mod:`repro.farm.merge` — exact, associative profile merging across
-  shards and across independent runs, plus the lossless profile dump
-  format;
-* :mod:`repro.farm.engine` — orchestration with per-shard timeouts,
-  bounded retries and inline fallback.
+  independent runs, plus the lossless profile dump format.
 
-The farm's contract is exactness: its merged output is bit-identical
-to the online :class:`~repro.core.trms.TrmsProfiler` (or
-:class:`~repro.core.rms.RmsProfiler`) on every workload; parallel
-speed is never allowed to change a profile.
+The contract is exactness: every profile is bit-identical to the online
+:class:`~repro.core.trms.TrmsProfiler` (or
+:class:`~repro.core.rms.RmsProfiler`) on every workload.
 """
 
 from .binfmt import (
@@ -42,7 +35,7 @@ from .binfmt import (
     read_trace_meta,
     write_binary_trace,
 )
-from .engine import FarmResult, FarmStats, ShardOutcome, analyze_events, analyze_file
+from .engine import AnalysisResult, AnalysisStats, analyze_events, analyze_file
 from .merge import (
     PROFILE_MAGIC,
     ProfileDumpError,
@@ -53,8 +46,6 @@ from .merge import (
     merge_into,
     save_profile,
 )
-from .shards import Shard, ShardPlan, plan_shards
-from .worker import ShardTask, WorkerResult, run_shard
 
 __all__ = [
     "BINARY_MAGIC",
@@ -72,9 +63,8 @@ __all__ = [
     "read_binary_trace",
     "read_trace_meta",
     "write_binary_trace",
-    "FarmResult",
-    "FarmStats",
-    "ShardOutcome",
+    "AnalysisResult",
+    "AnalysisStats",
     "analyze_events",
     "analyze_file",
     "PROFILE_MAGIC",
@@ -85,10 +75,4 @@ __all__ = [
     "merge_databases",
     "merge_into",
     "save_profile",
-    "Shard",
-    "ShardPlan",
-    "plan_shards",
-    "ShardTask",
-    "WorkerResult",
-    "run_shard",
 ]

@@ -1,10 +1,11 @@
 """Trace format v2: compact, chunked, seekable binary traces.
 
 The v1 text format (:mod:`repro.core.tracefile`) is greppable and
-diffable but forces any analysis to scan the whole file front to back.
-The farm needs random access: a worker assigned two threads of a
-32-thread trace should not decode the other thirty.  Format v2 provides
-that with three layers:
+diffable but must be parsed line by line into event objects.  Format
+v2 is what the offline analysis and the live tailer read: fixed-size
+records that decode a chunk at a time into columns
+(:func:`decode_chunk_columns`), with an index for random access.  It
+has three layers:
 
 * **records** — one event is a fixed ``<Bqq`` struct (kind byte, thread
   id, argument).  Routine names are interned in a per-file string
@@ -13,10 +14,9 @@ that with three layers:
 * **chunks** — records are grouped into chunks of ``chunk_events``
   events.  Each chunk is prefixed by a header carrying its payload
   size, event count, the *global position* of its first event, its
-  write-event count (plain + kernel), and per-thread event counts.
-  That metadata is what shard planning consumes: it tells a worker
-  which chunks contain its threads' events and which chunks it may
-  skip entirely (no writes, no assigned threads).
+  write-event count (plain + kernel), and per-thread event counts,
+  so a reader knows each chunk's threads and writes without decoding
+  it.
 * **footer** — after the last chunk the writer emits the string table
   and a copy of every chunk's metadata (with file offsets), then a
   fixed-size trailer pointing back at the footer.  Readers seek to the
@@ -123,9 +123,6 @@ class ChunkMeta(NamedTuple):
     def last_pos(self) -> int:
         """Global position one past the chunk's final event."""
         return self.first_pos + self.events
-
-    def threads(self) -> frozenset:
-        return frozenset(self.thread_counts)
 
 
 class TraceMeta(NamedTuple):

@@ -9,7 +9,7 @@ runs, which is what an operator of a long-lived system actually has:
   append-only ``history.jsonl`` replayed into in-memory indexes
   (runs, fitted curves, raw plot points, run metrics);
 * :mod:`repro.observatory.ingest` — turns ``repro-profile 1`` dumps,
-  TSV point dumps, farm ``FarmStats``, ``telemetry.jsonl`` runs and
+  TSV point dumps, ``telemetry.jsonl`` runs and
   ``repro-bench/1`` envelopes into store records, idempotently by
   run id;
 * :mod:`repro.observatory.drift` — per-routine growth-class
@@ -38,7 +38,6 @@ from .ingest import (
     ingest_stream_dump,
     record_from_checkpoint,
     record_from_envelope,
-    record_from_farm_stats,
     record_from_profile_db,
     record_from_telemetry,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "ingest_stream_dump",
     "record_from_checkpoint",
     "record_from_envelope",
-    "record_from_farm_stats",
     "record_from_profile_db",
     "record_from_telemetry",
     "HISTORY_FILENAME",

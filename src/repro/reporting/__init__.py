@@ -25,7 +25,7 @@ from .figures import (
 from .report import (
     dump_points,
     parse_points,
-    render_farm_stats,
+    render_analysis_stats,
     render_report,
     routine_summary,
 )
@@ -45,7 +45,7 @@ __all__ = [
     "worst_case_series",
     "dump_points",
     "parse_points",
-    "render_farm_stats",
+    "render_analysis_stats",
     "render_report",
     "render_html_report",
     "render_telemetry_dashboard",

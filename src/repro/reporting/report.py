@@ -20,7 +20,7 @@ __all__ = [
     "render_report",
     "dump_points",
     "parse_points",
-    "render_farm_stats",
+    "render_analysis_stats",
 ]
 
 
@@ -56,64 +56,22 @@ def render_report(db: ProfileDatabase, merged: bool = True, title: str = "profil
     return table(headers, rows, title=title) + footer
 
 
-def _shard_counter(stats, name: str, shard_id: int, fallback: int) -> int:
-    """A per-shard counter value from the farm's telemetry snapshot.
+def render_analysis_stats(stats) -> str:
+    """Time report of one analysis pass (``repro.farm.AnalysisStats``).
 
-    The engine counts retries/timeouts/fallbacks in its metrics
-    registry as they happen; the snapshot rides along in
-    ``FarmStats.metrics``.  Older/synthetic stats without a snapshot
-    fall back to the value mirrored on the outcome itself.
+    One row for the shared chunk decode and one per metric's kernel,
+    each with its events/s over the whole trace.
     """
-    for entry in stats.metrics or ():
-        if (entry.get("kind") == "counter" and entry.get("name") == name
-                and entry.get("labels", {}).get("shard") == shard_id):
-            return entry["value"]
-    return fallback
+    def row(stage: str, seconds: float) -> List:
+        rate = f"{stats.events / seconds:,.0f}" if seconds > 0 else "-"
+        return [stage, f"{seconds * 1000:.1f}ms", rate]
 
-
-def render_farm_stats(stats) -> str:
-    """Progress/health report of one farm run (``repro.farm.FarmStats``).
-
-    One row per shard — where it ran, how many pool attempts it took,
-    how the worker split its time between decode and analysis,
-    heartbeat-reported peak RSS and throughput — plus the per-shard
-    failure ledger (retries / timeouts / inline fallback), sourced from
-    the farm's telemetry counters, and a footer with the plan strategy
-    and aggregate tallies.
-    """
-    rows = []
-    for outcome in stats.outcomes:
-        fell_back = _shard_counter(
-            stats, "farm.shard.fallbacks", outcome.shard_id,
-            1 if outcome.where == "inline" and stats.jobs > 1 else 0)
-        rows.append([
-            outcome.shard_id,
-            len(outcome.threads),
-            outcome.events,
-            f"{outcome.seconds * 1000:.1f}ms",
-            f"{outcome.decode_seconds * 1000:.0f}/"
-            f"{outcome.analyze_seconds * 1000:.0f}ms",
-            f"{outcome.events_per_s:,.0f}",
-            outcome.heartbeats,
-            f"{outcome.max_rss_kb / 1024:.0f}M" if outcome.max_rss_kb else "-",
-            outcome.attempts,
-            _shard_counter(stats, "farm.shard.retries",
-                           outcome.shard_id, outcome.retries),
-            _shard_counter(stats, "farm.shard.timeouts",
-                           outcome.shard_id, outcome.timeouts),
-            outcome.where + ("!" if fell_back else ""),
-        ])
-    headers = ["shard", "threads", "events", "time", "dec/ana", "events/s",
-               "beats", "rss", "attempts", "retries", "timeouts", "ran"]
-    footer = (
-        f"plan: {stats.strategy}   jobs: {stats.jobs}   "
-        f"metric: {stats.metric}   "
-        f"trace events: {stats.event_count}   wall: {stats.wall_seconds * 1000:.1f}ms\n"
-        f"retries: {stats.retries}   inline fallbacks: {stats.fallbacks}   "
-        f"pool failures: {stats.pool_failures}\n"
-        "('!' marks a shard that exhausted its pool attempts and ran inline)\n"
-    )
-    return table(headers, rows, title="farm shards") + footer
+    rows = [row("decode", stats.decode_seconds)]
+    rows.extend(row(f"kernel {metric}", seconds)
+                for metric, seconds in stats.metric_seconds.items())
+    footer = f"trace events: {stats.events}   chunks: {stats.chunks}\n"
+    return table(["stage", "time", "events/s"], rows,
+                 title="analysis pass", left=(0,)) + footer
 
 
 def dump_points(db: ProfileDatabase, stream: TextIO) -> int:

@@ -4,7 +4,7 @@ Streaming is "merge as you go": the exact associativity of the profile
 merge (:mod:`repro.farm.merge`) means a prefix of chunks analysed now
 plus the rest analysed later equals the batch run.  Concretely the
 engine keeps one whole-trace :class:`~repro.core.flatkernel.FlatAnalyzer`
-(``threads=None`` lazy mode) alive across polls and feeds it sealed
+alive across polls and feeds it sealed
 ``ChunkColumns`` in trace order, so the final database — after
 ``finish()`` when the trace seals — is *bit-identical* to
 ``repro analyze --metric trms`` (the streaming differential suite
@@ -60,7 +60,7 @@ class StreamingAnalyzer:
     def __init__(self, context_sensitive: bool = False):
         self.db = ProfileDatabase()
         self.names: List[str] = []
-        self.analyzer = FlatAnalyzer(None, self.names, self.db,
+        self.analyzer = FlatAnalyzer(self.names, self.db,
                                      context_sensitive=context_sensitive)
         self.events_fed = 0
         self.chunks_fed = 0

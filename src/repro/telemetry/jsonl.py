@@ -6,16 +6,17 @@ directory.  One JSON object per line, every record carrying a ``type``:
 * ``meta`` — first line: format version, epoch, pid, argv;
 * ``span`` — one completed span: name, ids, start offset, wall/CPU
   seconds, attributes, ok/error status;
-* ``heartbeat`` — periodic worker progress (shard, phase, events, RSS);
 * ``event`` — point-in-time annotations;
 * ``metrics`` — the registry snapshot, written when the run closes.
+
+Records of any other type (such as the ``heartbeat`` records of older
+logs) are kept in :attr:`TelemetryRun.records` and otherwise ignored.
 
 Appending lines is crash-tolerant: a run that dies mid-flight leaves a
 readable prefix (the reader skips a torn last line), unlike a single
 JSON document.  The sink is lock-guarded and **pid-fenced**: a file
-handle inherited across ``fork`` into a farm worker silently refuses to
-write, so worker telemetry can only arrive through the heartbeat
-channel the coordinator owns.
+handle inherited across ``fork`` into a child process silently refuses
+to write, so only the process that opened the log appends to it.
 """
 
 from __future__ import annotations
@@ -102,7 +103,6 @@ class TelemetryRun:
         self.records = records
         self.meta: Dict = {}
         self.spans: List[Dict] = []
-        self.heartbeats: List[Dict] = []
         self.events: List[Dict] = []
         self.metrics: List[Dict] = []
         for record in records:
@@ -111,8 +111,6 @@ class TelemetryRun:
                 self.meta = record
             elif kind == "span":
                 self.spans.append(record)
-            elif kind == "heartbeat":
-                self.heartbeats.append(record)
             elif kind == "event":
                 self.events.append(record)
             elif kind == "metrics":
@@ -164,11 +162,3 @@ class TelemetryRun:
     def counter_value(self, name: str, **labels) -> int:
         return sum(entry["value"]
                    for entry in self.find_metrics(name, kind="counter", **labels))
-
-    # -- heartbeat access ---------------------------------------------------
-
-    def heartbeats_by_shard(self) -> Dict[int, List[Dict]]:
-        shards: Dict[int, List[Dict]] = {}
-        for beat in self.heartbeats:
-            shards.setdefault(beat.get("shard", -1), []).append(beat)
-        return shards

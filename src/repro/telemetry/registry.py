@@ -4,16 +4,15 @@ The registry is the telemetry layer's aggregation primitive.  It is
 deliberately tiny and dependency-free so it can live in two very
 different places at once:
 
-* inside the *online* profiler and the farm coordinator, where it must
+* inside the *online* profiler and the offline analysis, where it must
   never perturb the profiled computation (no I/O on the hot path, one
   short-held lock per update);
-* inside farm worker processes, whose registries never cross the
-  process boundary directly — workers report through heartbeat files
-  and the coordinator re-aggregates.
+* inside the ingestion server's worker threads and request handlers,
+  whose series are exported on ``/metrics``.
 
 Metrics are identified by ``(name, labels)``; labels are arbitrary
-keyword arguments (``registry.counter("farm.retries", shard=3)``), so
-per-shard and per-tool series coexist under one metric name.
+keyword arguments (``registry.counter("farm.kernel.events", metric="rms")``),
+so per-metric and per-tool series coexist under one metric name.
 
 Histograms use **fixed log-scale buckets**: bucket ``i`` counts
 observations in ``(2**(i-1), 2**i]`` (bucket 0 is ``(-inf, 1]``, the

@@ -2,7 +2,7 @@
 
 A *span* wraps one phase of the pipeline::
 
-    with telemetry.span("analyze.shard", shard=3):
+    with telemetry.span("analyze.convert", source="run.trace"):
         ...
 
 and records, on exit, a JSONL line with the span's name, id, parent id
@@ -325,11 +325,7 @@ class Telemetry:
                    "start": round(time.time() - self.epoch, 6), **fields})
 
     def emit(self, record: Dict) -> None:
-        """Write one raw record to the sink (no-op without a sink).
-
-        The farm coordinator uses this to re-emit span and heartbeat
-        records harvested from worker heartbeat files.
-        """
+        """Write one raw record to the sink (no-op without a sink)."""
         if self.sink is not None:
             self.sink.write(record)
 

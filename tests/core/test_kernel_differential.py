@@ -6,21 +6,19 @@ latest-write shadow (TRMS only), flat array stacks, a single interleaved
 pass.  Its contract is *bit identity*: on any trace hypothesis can dream
 up, each metric must produce exactly the database of the online
 :class:`~repro.core.rms.RmsProfiler` / :class:`~repro.core.trms.TrmsProfiler`
-— including under timestamp renumbering (Section 4.4), context
-sensitivity, and sharded thread assignments.  Every property checks
-both metrics on the same trace.
+— including under timestamp renumbering (Section 4.4) and context
+sensitivity.  Every property checks both metrics on the same trace.
 """
 
 import io
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import NaiveRms, ProfileDatabase, RmsProfiler, TrmsProfiler, replay
 from repro.core.flatkernel import METRICS, FlatAnalyzer, analyze_events_flat
 
-from .util import THREADS, db_snapshot, events_strategy
+from .util import db_snapshot, events_strategy
 
 ONLINE = {"rms": RmsProfiler, "trms": TrmsProfiler}
 
@@ -81,31 +79,6 @@ def test_flat_kernel_dumps_are_byte_identical(events):
         assert flat_dump.getvalue() == online_dump.getvalue(), metric
 
 
-@settings(max_examples=100, deadline=None)
-@given(events_strategy(), st.integers(min_value=1, max_value=len(THREADS)))
-def test_flat_kernel_sharded_threads_merge_to_whole(events, split):
-    """Analysing disjoint thread subsets with separate FlatAnalyzers
-    (the farm's sharding) and merging must equal the whole-trace run —
-    foreign threads contribute exactly their writes to TRMS, and
-    nothing to RMS."""
-    from repro.farm import merge_databases
-    from repro.farm.binfmt import columns_from_events
-
-    threads_seen = sorted({event.thread for event in events})
-    shards = [threads_seen[:split], threads_seen[split:]]
-    columns, names = columns_from_events(events)
-    for metric in METRICS:
-        partials = []
-        for shard_threads in shards:
-            db = ProfileDatabase(keep_activations=True)
-            analyzer = FlatAnalyzer(shard_threads, names, db, metric=metric)
-            analyzer.feed(columns)
-            analyzer.finish()
-            partials.append(db)
-        merged = merge_databases(partials, keep_activations=True)
-        assert db_snapshot(merged) == db_snapshot(flat_db(events, metric)), metric
-
-
 @settings(max_examples=150, deadline=None)
 @given(events_strategy())
 def test_flat_rms_matches_naive_oracle(events):
@@ -118,7 +91,7 @@ def test_flat_rms_matches_naive_oracle(events):
 
 def test_flat_kernel_rejects_unknown_metric():
     with pytest.raises(ValueError, match="unknown metric"):
-        FlatAnalyzer(None, [], ProfileDatabase(), metric="both")
+        FlatAnalyzer([], ProfileDatabase(), metric="both")
 
 
 def test_flat_kernel_on_real_vm_trace(tmp_path):

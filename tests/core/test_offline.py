@@ -1,8 +1,8 @@
 """Differential tests: offline analysis of a recorded trace vs the online profilers.
 
 Offline analysis is what ``repro analyze`` runs: the trace is spooled to
-a v2 file and :func:`repro.farm.analyze_file` hands its thread shards to
-the flat kernel.  It is only worth anything if it is *exactly* the
+a v2 file and :func:`repro.farm.analyze_file` feeds each decoded chunk
+to the flat kernel of every requested metric.  It is only worth anything if it is *exactly* the
 analysis the online profilers do while the program runs; these
 properties say it is, for both metrics.
 """
@@ -24,9 +24,9 @@ def online_db(events, metric, **kwargs):
     return profiler.db
 
 
-def offline_db(events, metric, jobs=1, **kwargs):
-    return analyze_events(events, jobs=jobs, keep_activations=True,
-                          metric=metric, **kwargs).db
+def offline_db(events, metric, **kwargs):
+    return analyze_events(events, keep_activations=True,
+                          metrics=(metric,), **kwargs).db
 
 
 @settings(max_examples=150, deadline=None)
@@ -47,8 +47,8 @@ def test_offline_context_sensitive_equals_online(events):
 
 
 def test_offline_on_real_vm_trace(tmp_path):
-    """End to end on a recorded multithreaded guest run, farmed over
-    three workers: the consumer of Figure 2 reads 20 values the producer
+    """End to end on a recorded multithreaded guest run, both metrics
+    from one pass: the consumer of Figure 2 reads 20 values the producer
     wrote — 20 induced first-accesses under TRMS."""
     from repro.farm import BinaryTraceWriter, analyze_file, read_binary_trace
     from repro.vm import programs
@@ -60,11 +60,11 @@ def test_offline_on_real_vm_trace(tmp_path):
         writer.close()
     with open(path, "rb") as stream:
         events = read_binary_trace(stream)
+    offline = analyze_file(str(path), metrics=METRICS, keep_activations=True).dbs
     for metric in METRICS:
-        offline = analyze_file(str(path), jobs=3, keep_activations=True,
-                               metric=metric).db
-        assert db_snapshot(offline) == db_snapshot(online_db(events, metric)), metric
-    trms = analyze_file(str(path), jobs=3, keep_activations=True).db
+        assert db_snapshot(offline[metric]) == \
+            db_snapshot(online_db(events, metric)), metric
+    trms = offline["trms"]
     consumer = [a for a in trms.activations if a.routine == "consumer"][0]
     assert consumer.size == 20
     assert consumer.induced_thread == 20

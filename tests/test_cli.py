@@ -131,26 +131,45 @@ def test_record_v1_format_still_text(tmp_path):
     assert trace.read_text().startswith("repro-trace 1")
 
 
-def test_analyze_jobs_matches_sequential(tmp_path):
+def test_analyze_stats_report(tmp_path):
     trace = tmp_path / "run.rpt2"
     run_cli("record", "350.md", str(trace), "--threads", "4", "--scale", "0.5")
-    code, sequential = run_cli("analyze", str(trace), "--metric", "trms")
+    code, output = run_cli("analyze", str(trace), "--stats")
     assert code == 0
-    code, farmed = run_cli("analyze", str(trace), "--metric", "trms",
-                           "--jobs", "2")
-    assert code == 0
-    assert farmed == sequential  # identical rendered report: exactness
-
-
-def test_analyze_jobs_stats_report(tmp_path):
-    trace = tmp_path / "run.rpt2"
-    run_cli("record", "350.md", str(trace), "--threads", "4", "--scale", "0.5")
-    code, output = run_cli("analyze", str(trace), "--metric", "trms",
-                           "--jobs", "2", "--stats")
-    assert code == 0
-    assert "farm shards" in output
+    assert "analysis pass" in output
     assert "events/s" in output
-    assert "plan: by-thread" in output
+    assert output.count("decode") == 1
+    assert "kernel rms" in output and "kernel trms" in output
+
+
+def test_analyze_both_metrics_decode_each_chunk_once(tmp_path, monkeypatch):
+    """``--metric both`` feeds both kernels from one decode of each chunk."""
+    import sys
+
+    from repro.farm import binfmt, read_trace_meta
+
+    trace = tmp_path / "run.rpt2"
+    run_cli("record", "350.md", str(trace), "--threads", "4", "--scale", "0.5",
+            "--chunk-events", "512")
+    with open(trace, "rb") as stream:
+        chunks = len(read_trace_meta(stream).chunks)
+    assert chunks > 1
+    decoded = []
+    original = binfmt.decode_chunk_columns
+
+    def counting(stream, chunk):
+        decoded.append(chunk.offset)
+        return original(stream, chunk)
+
+    # patch every module that bound the decoder at import time
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro.")
+                and getattr(module, "decode_chunk_columns", None) is original):
+            monkeypatch.setattr(module, "decode_chunk_columns", counting)
+    code, _ = run_cli("analyze", str(trace), "--metric", "both")
+    assert code == 0
+    assert len(decoded) == chunks
+    assert len(set(decoded)) == chunks
 
 
 def test_record_analyze_merge_fit_pipeline(tmp_path):
@@ -163,7 +182,7 @@ def test_record_analyze_merge_fit_pipeline(tmp_path):
         assert code == 0
         dump = tmp_path / f"run{index}.profile"
         code, output = run_cli("analyze", str(trace), "--metric", "trms",
-                               "--jobs", "2", "--dump", str(dump))
+                               "--dump", str(dump))
         assert code == 0
         assert "profile points" in output
         dumps.append(dump)
@@ -185,20 +204,17 @@ def test_merge_rejects_non_profile(tmp_path):
     assert "error" in output
 
 
-def test_analyze_jobs_farms_both_metrics(tmp_path):
-    """With --jobs, RMS is farmed like TRMS, and both reports equal the
-    online profilers' replay of the same trace."""
+def test_analyze_both_metrics_match_online(tmp_path):
+    """Both reports of one ``analyze`` equal the online profilers'
+    replay of the same trace."""
     from repro.core import EventBus, RmsProfiler, TrmsProfiler, replay
     from repro.farm import read_binary_trace
     from repro.reporting import render_report
 
     trace = tmp_path / "run.rpt2"
     run_cli("record", "350.md", str(trace), "--threads", "2", "--scale", "0.5")
-    code, output = run_cli("analyze", str(trace), "--jobs", "2", "--stats")
+    code, output = run_cli("analyze", str(trace), "--stats")
     assert code == 0
-    assert "sequentially" not in output
-    assert output.count("farm shards") == 2
-    assert "metric: rms" in output and "metric: trms" in output
     with open(trace, "rb") as stream:
         events = read_binary_trace(stream)
     rms, trms = RmsProfiler(), TrmsProfiler()
@@ -223,35 +239,66 @@ def test_analyze_with_telemetry_writes_log_and_identical_profile(tmp_path):
     trace = tmp_path / "run.rpt2"
     run_cli("record", "350.md", str(trace), "--threads", "4", "--scale", "0.5")
     dump_without = tmp_path / "without.profile"
-    code, _ = run_cli("analyze", str(trace), "--metric", "trms",
-                      "--jobs", "2", "--dump", str(dump_without))
+    code, _ = run_cli("analyze", str(trace), "--metric", "both",
+                      "--dump", str(dump_without))
     assert code == 0
     dump_with = tmp_path / "with.profile"
     tele_dir = tmp_path / "tele"
-    code, output = run_cli("analyze", str(trace), "--metric", "trms",
-                           "--jobs", "2", "--dump", str(dump_with),
+    code, output = run_cli("analyze", str(trace), "--metric", "both",
+                           "--dump", str(dump_with),
                            "--telemetry", str(tele_dir))
     assert code == 0
     assert "telemetry written to" in output
     # telemetry observes, never perturbs: bit-identical profile dump
     assert dump_with.read_bytes() == dump_without.read_bytes()
     run = TelemetryRun.load(str(tele_dir))
-    assert "analyze.pool" in run.span_names()
-    assert run.heartbeats
+    assert len(run.spans_named("analyze.decode")) == 1
+    kernels = run.spans_named("analyze.kernel")
+    assert sorted(span["attrs"]["metric"] for span in kernels) == ["rms", "trms"]
+    assert run.counter_value("farm.kernel.events", metric="rms") == \
+        run.counter_value("farm.trace_events") > 0
 
 
 def test_stats_renders_dashboard_and_html(tmp_path):
     trace = tmp_path / "run.rpt2"
     run_cli("record", "350.md", str(trace), "--threads", "4", "--scale", "0.5")
     tele_dir = tmp_path / "tele"
-    run_cli("analyze", str(trace), "--metric", "trms", "--jobs", "2",
+    run_cli("analyze", str(trace), "--metric", "trms",
             "--telemetry", str(tele_dir))
     html_file = tmp_path / "dash.html"
     code, output = run_cli("stats", str(tele_dir), "--html", str(html_file))
     assert code == 0
     assert "span tree" in output
-    assert "worker heartbeats" in output
+    assert "analyze.kernel" in output
     assert html_file.read_text().startswith("<!DOCTYPE html>")
+
+
+def test_stats_renders_log_with_legacy_heartbeats(tmp_path):
+    """Logs written while analysis still ran on worker processes carry
+    ``heartbeat`` records; they still load and render, minus those."""
+    import json
+
+    tele_dir = tmp_path / "tele"
+    tele_dir.mkdir()
+    records = [
+        {"type": "meta", "version": 1, "epoch": 0.0, "pid": 1, "argv": []},
+        {"type": "heartbeat", "shard": 0, "phase": "analyze", "events": 500,
+         "rss_kb": 2048, "pid": 2, "wall": 0.01},
+        {"type": "span", "name": "analyze.pool", "id": 1, "parent": None,
+         "start": 0.0, "wall": 0.02, "cpu": 0.01, "ok": True},
+        {"type": "heartbeat", "shard": 0, "phase": "done", "events": 900,
+         "rss_kb": 2048, "pid": 2, "wall": 0.02},
+        {"type": "metrics", "metrics": []},
+    ]
+    (tele_dir / "telemetry.jsonl").write_text(
+        "".join(json.dumps(record) + "\n" for record in records))
+    html_file = tmp_path / "dash.html"
+    code, output = run_cli("stats", str(tele_dir), "--html", str(html_file))
+    assert code == 0
+    assert "analyze.pool" in output
+    assert "heartbeat" not in output
+    html = html_file.read_text()
+    assert "analyze.pool" in html and "heartbeat" not in html.lower()
 
 
 def test_stats_rejects_missing_run(tmp_path):

@@ -180,6 +180,40 @@ def test_rebaseline_skips_non_envelope_json(tmp_path):
     assert sorted(os.listdir(baselines)) == ["kernel.json"]
 
 
+def test_rebaseline_named_bench_leaves_other_baselines_untouched(tmp_path):
+    results = str(tmp_path / "results")
+    baselines = str(tmp_path / "baselines")
+    old_kernel = write_envelope(baselines, "kernel.json",
+                                envelope("old-k", {"speedup": 2.0}))
+    write_envelope(baselines, "farm.json", envelope("old-f", {"speedup": 1.0}))
+    with open(old_kernel, encoding="utf-8") as stream:
+        kernel_before = stream.read()
+    write_envelope(results, "kernel.json", envelope("new-k", {"speedup": 3.0}))
+    write_envelope(results, "farm.json", envelope("new-f", {"speedup": 1.5}))
+    out = io.StringIO()
+    code = run_gate(results, baselines_dir=baselines, rebaseline=True,
+                    benches=["farm"], out=out)
+    assert code == 0
+    with open(old_kernel, encoding="utf-8") as stream:
+        assert stream.read() == kernel_before
+    with open(os.path.join(baselines, "farm.json"), encoding="utf-8") as stream:
+        assert json.load(stream)["run_id"] == "new-f"
+    assert "rebaselined farm.json" in out.getvalue()
+    assert "kernel.json" not in out.getvalue()
+
+
+def test_rebaseline_unknown_bench_copies_nothing(tmp_path):
+    results = str(tmp_path / "results")
+    baselines = str(tmp_path / "baselines")
+    write_envelope(results, "kernel.json", envelope("new-k", {"speedup": 3.0}))
+    out = io.StringIO()
+    code = run_gate(results, baselines_dir=baselines, rebaseline=True,
+                    benches=["kernel", "nope"], out=out)
+    assert code == 1
+    assert "nope.json" in out.getvalue()
+    assert not os.path.exists(baselines)
+
+
 def latency_envelope(run_id, p99, bench="service_slap"):
     payload = envelope(run_id, {}, bench=bench)
     payload["metrics"]["gate"]["latency_ms"] = {"put_p99": p99}

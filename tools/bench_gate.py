@@ -1,7 +1,8 @@
 """Benchmark-regression gate: diff fresh bench envelopes against baselines.
 
 The gated benches (``benchmarks/bench_kernel_throughput.py``,
-``benchmarks/bench_farm_speedup.py``) write ``repro-bench/1`` envelopes
+``benchmarks/bench_analyze_throughput.py``,
+``benchmarks/bench_streaming_latency.py``) write ``repro-bench/1`` envelopes
 whose payload carries a ``gate`` section::
 
     "gate": {
@@ -45,10 +46,12 @@ Typical uses::
     python -m tools.bench_gate --run            # CI: bench + compare
     python -m tools.bench_gate                  # compare existing results
     python -m tools.bench_gate --run --rebaseline   # accept new numbers
+    python -m tools.bench_gate --run --rebaseline kernel_throughput
 
 ``--rebaseline`` copies the fresh envelopes into the baselines
-directory; commit the diff with a justification of the change (see
-docs/KERNEL.md).  Benches run at ``--scale`` (default 0.5) so the gate
+directory — all of them, or only the named benches' — and leaves every
+other baseline untouched; commit the diff with a justification of the
+change (see docs/KERNEL.md).  Benches run at ``--scale`` (default 0.5) so the gate
 stays fast; baselines must be recorded at the same scale — the gate
 refuses to compare envelopes whose gate scales differ.
 
@@ -74,7 +77,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 _SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -86,7 +89,7 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: the bench files whose envelopes carry a ``gate`` section
 GATED_BENCHES = (
     os.path.join("benchmarks", "bench_kernel_throughput.py"),
-    os.path.join("benchmarks", "bench_farm_speedup.py"),
+    os.path.join("benchmarks", "bench_analyze_throughput.py"),
     os.path.join("benchmarks", "bench_streaming_latency.py"),
 )
 
@@ -282,18 +285,32 @@ def run_gate(
     observatory: Optional[str] = None,
     fail_on_drift: bool = False,
     out=sys.stdout,
+    benches: Sequence[str] = (),
 ) -> int:
-    """Compare every baseline against its fresh envelope; 0 iff clean."""
+    """Compare every baseline against its fresh envelope; 0 iff clean.
+
+    With ``rebaseline`` the fresh envelopes become the baselines
+    instead — only those of ``benches`` (names like
+    ``kernel_throughput``) when any are given.
+    """
     try:
         baseline_names = sorted(
             name for name in os.listdir(baselines_dir) if name.endswith(".json"))
     except OSError:
         baseline_names = []
     if rebaseline:
+        wanted = {bench if bench.endswith(".json") else bench + ".json"
+                  for bench in benches}
+        unknown = sorted(name for name in wanted
+                         if not os.path.exists(os.path.join(results_dir, name)))
+        if unknown:
+            out.write(f"bench-gate: no fresh envelope for "
+                      f"{', '.join(unknown)} in {results_dir}\n")
+            return 1
         os.makedirs(baselines_dir, exist_ok=True)
         rebaselined = 0
         for name in sorted(os.listdir(results_dir)):
-            if not name.endswith(".json"):
+            if not name.endswith(".json") or (wanted and name not in wanted):
                 continue
             try:
                 envelope = load_envelope(os.path.join(results_dir, name))
@@ -380,9 +397,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--run", action="store_true",
                         help="run the gated benches first (into a scratch "
                              "results directory)")
-    parser.add_argument("--rebaseline", action="store_true",
+    parser.add_argument("--rebaseline", nargs="*", metavar="BENCH",
                         help="copy fresh envelopes into the baselines "
-                             "directory instead of comparing")
+                             "directory instead of comparing; only the "
+                             "named benches' (e.g. kernel_throughput) when "
+                             "any are given")
     parser.add_argument("--tolerance", type=float, default=0.25, metavar="T",
                         help="allowed fractional regression of gated "
                              "metrics (default 0.25)")
@@ -426,10 +445,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.run:
             run_benches(results_dir, args.scale)
         return run_gate(results_dir, args.baselines, args.tolerance,
-                        args.absolute, args.rebaseline,
+                        args.absolute, args.rebaseline is not None,
                         summary_path=summary_path,
                         observatory=args.observatory,
-                        fail_on_drift=args.fail_on_drift)
+                        fail_on_drift=args.fail_on_drift,
+                        benches=args.rebaseline or ())
     except GateFailure as failure:
         sys.stdout.write(f"bench-gate: FAIL: {failure}\n")
         return 1
